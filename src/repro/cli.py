@@ -73,7 +73,7 @@ def _write_metrics(registry, args: argparse.Namespace) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    if args.workers is not None and args.workers < 1:
+    if args.workers < 1:
         raise SystemExit(
             f"error: --workers must be a positive integer, "
             f"got {args.workers}"
@@ -100,15 +100,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         f"({summary.critical_groups} critical)"
     )
     report = intellog.last_parallel_report
-    if report is not None:
-        print(
-            f"parallel: {report.workers} workers "
-            f"(pool {report.pool_workers}), {report.batches} batches / "
-            f"{report.shards} shards, {report.distinct_forms} distinct "
-            f"forms, extraction cache {report.cache_hits} hits / "
-            f"{report.cache_misses} misses, "
-            f"{report.payload_bytes_total} payload bytes"
-        )
+    print(
+        f"parallel: {report.workers} workers "
+        f"(pool {report.pool_workers}), {report.batches} batches / "
+        f"{report.shards} shards, {report.distinct_forms} distinct "
+        f"forms, extraction cache {report.cache_hits} hits / "
+        f"{report.cache_misses} misses, "
+        f"{report.payload_bytes_total} payload bytes"
+    )
     ModelStore.from_intellog(intellog).save(args.model)
     print(f"model written to {args.model}")
     _write_metrics(registry, args)
@@ -569,10 +568,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hadoop | spark | tez | yarn | generic")
     train.add_argument("--tau", type=float, default=1.7,
                        help="Spell matching threshold t (paper: 1.7)")
-    train.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="train via the sharded parallel pipeline with "
-                            "N worker processes (model is byte-identical "
-                            "to serial; default: serial)")
+    train.add_argument("--workers", type=int, default=1, metavar="N",
+                       help="worker processes for the sharded training "
+                            "pipeline (model is byte-identical for every "
+                            "N; default: 1, inline)")
     train.add_argument("--no-cache", dest="cache", action="store_false",
                        help="disable the Intel Key extraction memo cache "
                             "(slower; model is unchanged)")

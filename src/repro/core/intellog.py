@@ -29,7 +29,7 @@ from ..detection.detector import AnomalyDetector
 from ..detection.report import JobReport, SessionReport
 from ..extraction.intelkey import IntelKey, IntelMessage
 from ..extraction.pipeline import InformationExtractor
-from ..graph.hwgraph import HWGraph, HWGraphBuilder
+from ..graph.hwgraph import HWGraph
 from ..parsing.formatters import default_registry
 from ..parsing.records import LogRecord, Session, split_sessions
 from ..parsing.spell import SpellParser
@@ -65,7 +65,7 @@ class IntelLog:
         self.graph: HWGraph | None = None
         self.intel_keys: dict[str, IntelKey] = {}
         self._detector: AnomalyDetector | None = None
-        #: Timings/accounting of the last ``train(workers=N)`` run
+        #: Timings/accounting of the last ``train()`` run
         #: (:class:`repro.parallel.ParallelReport`), if any.
         self.last_parallel_report = None
 
@@ -75,82 +75,35 @@ class IntelLog:
         self,
         sessions: Iterable[Session],
         *,
-        workers: int | None = None,
+        workers: int = 1,
         cache: bool = True,
         batch_records: int | None = None,
         registry: "MetricsRegistry | None" = None,
     ) -> TrainingSummary:
         """Learn log keys, Intel Keys and the HW-graph from normal runs.
 
-        ``workers=None`` (the default) runs the original fused serial
-        loop.  ``workers=N`` routes through the sharded pipeline
-        (:mod:`repro.parallel`): per-session shards are grouped into
-        size-targeted batches, processed by up to ``N`` warm worker
-        processes (inline for ``N=1`` or a single batch) and merged
-        deterministically — the resulting model is byte-identical to the
-        serial one for every ``N``.  ``cache=False`` disables the Intel
-        Key extraction memo and ``batch_records`` overrides the derived
-        records-per-batch target; neither ever changes the model, only
-        speed.
+        Training is one sharded pipeline (:mod:`repro.parallel`):
+        per-session shards are grouped into size-targeted batches,
+        processed by up to ``workers`` warm worker processes and merged
+        deterministically, so the model is byte-identical for every
+        ``workers``.  ``workers=1`` (the default) runs the same stages
+        inline, with no subprocesses; ``None`` is accepted as the
+        default for callers of the older signature.  ``cache=False``
+        disables the Intel Key extraction memo and ``batch_records``
+        overrides the derived records-per-batch target; neither ever
+        changes the model, only speed.  The run's timings land on
+        :attr:`last_parallel_report`.
 
         ``registry`` attaches a :class:`~repro.obs.MetricsRegistry`:
         per-stage ``train.*`` spans land in its ``trace_span_seconds``
-        histogram (both the serial and the sharded path), which is what
-        ``repro train --metrics-out`` snapshots.  Never changes the
-        model.
+        histogram, which is what ``repro train --metrics-out``
+        snapshots.  Never changes the model.
         """
-        if workers is not None:
-            from ..parallel import train_parallel
+        from ..parallel import train_parallel
 
-            return train_parallel(
-                self, sessions, workers=workers, cache=cache,
-                batch_records=batch_records, registry=registry,
-            )
-        from ..obs import Tracer
-
-        tracer = Tracer(registry=registry)
-        sessions = list(sessions)
-        message_count = 0
-
-        # Stage 1: log keys via Spell (streaming over all sessions).
-        with tracer.span("train.spell"):
-            session_keys: list[list[tuple[LogRecord, str]]] = []
-            for session in sessions:
-                pairs: list[tuple[LogRecord, str]] = []
-                for record in session:
-                    key = self.spell.consume(record.message)
-                    pairs.append((record, key.key_id))
-                    message_count += 1
-                session_keys.append(pairs)
-
-        # Stage 2: Intel Keys.
-        with tracer.span("train.extract"):
-            self.intel_keys = self.extractor.build_all(self.spell.keys())
-
-        # Stage 3: HW-graph.
-        with tracer.span("train.graph"):
-            builder = HWGraphBuilder(self.intel_keys)
-            for session, pairs in zip(sessions, session_keys):
-                messages = self._to_messages(session, pairs)
-                builder.train_session(messages)
-            self.graph = builder.build()
-        if self.config.validate_model:
-            self._validate_graph()
-        self._detector = AnomalyDetector(
-            self.graph,
-            self.spell,
-            self.extractor,
-            self.config.detector,
-        )
-
-        return TrainingSummary(
-            sessions=len(sessions),
-            messages=message_count,
-            log_keys=len(self.spell),
-            intel_keys=len(self.intel_keys),
-            entity_groups=len(self.graph.groups),
-            critical_groups=len(self.graph.critical_groups()),
-            ignored_keys=len(self.graph.ignored_keys),
+        return train_parallel(
+            self, sessions, workers=1 if workers is None else workers,
+            cache=cache, batch_records=batch_records, registry=registry,
         )
 
     def train_lines(
@@ -158,7 +111,7 @@ class IntelLog:
         lines: Iterable[str],
         formatter: str | None = None,
         *,
-        workers: int | None = None,
+        workers: int = 1,
         cache: bool = True,
         batch_records: int | None = None,
         registry: "MetricsRegistry | None" = None,
@@ -249,24 +202,6 @@ class IntelLog:
         for diag in report:
             warnings.warn(diag.render(), ModelValidationWarning,
                           stacklevel=3)
-
-    def _to_messages(
-        self, session: Session, pairs: list[tuple[LogRecord, str]]
-    ) -> list[IntelMessage]:
-        messages: list[IntelMessage] = []
-        for record, key_id in pairs:
-            intel_key = self.intel_keys.get(key_id)
-            if intel_key is None:
-                continue
-            message = self.extractor.to_intel_message(
-                intel_key,
-                record.message,
-                timestamp=record.timestamp,
-                session_id=session.session_id,
-            )
-            if message is not None:
-                messages.append(message)
-        return messages
 
     def _format(
         self, lines: Iterable[str], formatter: str | None

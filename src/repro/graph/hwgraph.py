@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-import networkx as nx
-
 from ..extraction.intelkey import IntelKey, IntelMessage
 from .grouping import GroupingResult, group_entities
 from .lifespan import BEFORE, PARENT, Lifespan, RelationMatrix
@@ -60,9 +58,10 @@ class SessionStats:
 
     Produced by :func:`session_group_stats` (a pure function of the
     session's Intel Messages), applied by
-    :meth:`HWGraphBuilder.apply_session_stats`.  The serial trainer fuses
-    the two; the parallel trainer computes stats in worker processes and
-    applies them in deterministic corpus order.
+    :meth:`HWGraphBuilder.apply_session_stats`.
+    :meth:`HWGraphBuilder.train_session` fuses the two; the training
+    pipeline computes stats in worker processes and applies them in
+    deterministic corpus order.
     """
 
     groups: list[GroupSessionStats] = field(default_factory=list)
@@ -170,23 +169,6 @@ class HWGraph:
 
     def groups_of_message(self, message: IntelMessage) -> set[str]:
         return self.key_groups.get(message.key_id, set())
-
-    def to_networkx(self) -> "nx.DiGraph":
-        """Export hierarchy + ordering as a networkx DiGraph.
-
-        PARENT edges carry ``relation='PARENT'``; sibling ordering edges
-        carry ``relation='BEFORE'``.
-        """
-        graph = nx.DiGraph()
-        for label, node in self.groups.items():
-            graph.add_node(label, critical=node.critical,
-                           keys=sorted(node.key_ids))
-        for label, node in self.groups.items():
-            for child in node.children:
-                graph.add_edge(label, child, relation=PARENT)
-            for later in node.before:
-                graph.add_edge(label, later, relation=BEFORE)
-        return graph
 
     def to_dict(self) -> dict[str, Any]:
         """Serialize the full trained model.
@@ -346,7 +328,7 @@ class HWGraphBuilder:
         """Fold one session's pre-computed statistics into the model.
 
         This is the only mutating half of training; feeding sessions'
-        stats in corpus order reproduces the fused serial path exactly,
+        stats in corpus order reproduces :meth:`train_session` exactly,
         which is what lets ``repro.parallel`` compute the stats in worker
         processes.
         """

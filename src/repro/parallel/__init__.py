@@ -6,8 +6,8 @@ size-targeted *shard batches* — the units actually shipped to worker
 processes, themselves a pure function of the corpus.  The per-record
 work runs in a warm process pool, and the merge folds results in an
 order fixed by corpus content — so ``IntelLog.train(sessions,
-workers=N)`` produces a model byte-identical to the serial trainer for
-every ``N`` and every batch layout.  See ``DESIGN.md`` ("Deterministic
+workers=N)`` produces byte-identical model bytes for every ``N`` and
+every batch layout (``N=1``, the default, runs inline).  See ``DESIGN.md`` ("Deterministic
 merge") for the invariant and why batching preserves it.
 """
 

@@ -1,8 +1,10 @@
 """The sharded training pipeline with deterministic merge.
 
-:func:`train_parallel` reproduces :meth:`repro.core.IntelLog.train`
-byte-for-byte (same Spell table, Intel Keys, HW-graph and detector) while
-running the per-record work in a process pool:
+:func:`train_parallel` is the one training path behind
+:meth:`repro.core.IntelLog.train`.  It produces the model that consuming
+every record through one Spell parser in corpus order would (same Spell
+table, Intel Keys, HW-graph and detector) while running the per-record
+work in a process pool:
 
 * **Batching** — per-session shards (the merge granularity) are grouped
   into size-targeted *shard batches* (the distribution granularity,
@@ -21,8 +23,9 @@ running the per-record work in a process pool:
   (:func:`~repro.parallel.worker.compute_batch_stats`).
 * **Apply** — the parent folds the statistics in corpus order (never
   completion order) through the same
-  :meth:`~repro.graph.hwgraph.HWGraphBuilder.apply_session_stats` the
-  serial trainer uses, then finalises the hierarchy.
+  :meth:`~repro.graph.hwgraph.HWGraphBuilder.apply_session_stats` that
+  :meth:`~repro.graph.hwgraph.HWGraphBuilder.train_session` folds
+  through, then finalises the hierarchy.
 
 One :class:`ProcessPoolExecutor` serves both phases: it is created once
 with an initializer that pre-warms the per-process extraction cache
@@ -33,8 +36,8 @@ remain for a chunksize to amortize.  Payload bytes shipped each way are
 measured per batch and land in the :class:`ParallelReport`.
 
 ``workers=1`` (or a single batch) runs both phases inline through the
-very same code path — no subprocesses — which is what the equivalence
-tests lean on.
+very same code path — no subprocesses; it is ``IntelLog.train``'s
+default.
 """
 
 from __future__ import annotations
@@ -401,9 +404,8 @@ def train_parallel(
 ) -> "TrainingSummary":
     """Train ``intellog`` on ``sessions`` using ``workers`` processes.
 
-    Produces a model byte-identical to the serial
-    :meth:`IntelLog.train` for any ``workers >= 1`` and any batch
-    layout; stores a :class:`ParallelReport` on
+    Produces byte-identical model bytes for any ``workers >= 1`` and
+    any batch layout; stores a :class:`ParallelReport` on
     ``intellog.last_parallel_report``.
 
     ``batch_records`` overrides the derived records-per-batch target
@@ -473,8 +475,8 @@ def train_parallel(
                     shards, parses, tau=config.spell_tau
                 )
 
-            # Canonical Intel Keys, in Spell key order (same order as the
-            # serial ``extractor.build_all(self.spell.keys())``).  The
+            # Canonical Intel Keys, in Spell key order (same order as
+            # ``extractor.build_all(spell.keys())``).  The
             # parent cache delta is measured around exactly this pass so
             # inline phase-2 traffic is never double counted.
             with tracer.span("train.extract") as extract_span:

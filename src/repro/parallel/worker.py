@@ -25,8 +25,8 @@ Phase 2 (:func:`compute_batch_stats`) receives the canonical per-record
 key assignment back, rebuilds each shard's Intel Messages (extracting
 the batch's Intel Keys once through the process-local memo cache) and
 computes per-session HW-graph statistics via the same
-:func:`~repro.graph.hwgraph.session_group_stats` the serial trainer
-uses.
+:func:`~repro.graph.hwgraph.session_group_stats` that
+:meth:`~repro.graph.hwgraph.HWGraphBuilder.train_session` uses.
 
 :func:`init_worker` runs once per pool process (executor initializer):
 it pre-imports the parsing/extraction modules and warms the per-process

@@ -127,8 +127,9 @@ class BoundedQueueSource:
     """Backpressure adapter between a tenant's source and its runtime.
 
     ``poll`` refills from the inner source in large gulps
-    (``ingest_batch``) and hands out at most the asked-for records from
-    a bounded deque.  When the deque would exceed ``capacity`` the
+    (``ingest_batch``) whenever the queue holds fewer records than were
+    asked for, and hands out at most the asked-for records from a
+    bounded deque.  When the deque would exceed ``capacity`` the
     *oldest* queued records are shed (newest data wins — stale records
     would close sessions late anyway) and counted in :attr:`shed`.
 
@@ -152,8 +153,10 @@ class BoundedQueueSource:
         self._queue: deque = deque()
         self.shed = 0
 
-    def _refill(self) -> None:
-        if len(self._queue) >= self.capacity:
+    def _refill(self, wanted: int) -> None:
+        # Gulp only when the queue cannot serve this poll: refilling on
+        # every poll would outpace the consumer and shed durable data.
+        if len(self._queue) >= min(wanted, self.capacity):
             return
         batch = self.inner.poll(self.ingest_batch)
         if batch:
@@ -163,7 +166,7 @@ class BoundedQueueSource:
             self.shed += 1
 
     def poll(self, max_records: int) -> list:
-        self._refill()
+        self._refill(max_records)
         out = []
         while self._queue and len(out) < max_records:
             out.append(self._queue.popleft())

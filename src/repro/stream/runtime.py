@@ -83,12 +83,6 @@ __all__ = ["RuntimeStats", "StreamRuntime"]
 
 log = logging.getLogger(__name__)
 
-#: Sentinel for ``_ingest``'s ``alert`` parameter: "not pre-matched —
-#: run the per-record observe inline" (``None`` means "pre-matched, no
-#: alert").
-_OBSERVE: object = object()
-
-
 @dataclass(slots=True)
 class RuntimeStats:
     """Point-in-time view of the runtime's registry-backed metrics.
@@ -256,9 +250,8 @@ class StreamRuntime:
         self._parked_fids: set[str] = set()
         self.resume_origin = "fresh"
         self.resume_notes: list[str] = []
-        # Quantum-mode bookkeeping (step()/finish(), used by repro.serve):
-        # lazily initialized on the first step so a runtime driven via
-        # run() never pays for it.
+        # Rate clock and stats cadence: reset by each run(), started
+        # lazily by the first step() of a stepped stream.
         self._loop_start: float | None = None
         self._next_stats_at: int | None = None
         self._resumed = self._try_resume()
@@ -596,6 +589,7 @@ class StreamRuntime:
     ) -> RuntimeStats:
         """Consume the source until exhausted (``once``) or forever.
 
+        The loop repeats :meth:`step`'s cycle and ends in :meth:`finish`.
         ``once`` finishes when the source has nothing left *right now*
         (backfill / tests); otherwise the loop sleeps ``poll_interval``
         between empty polls and keeps following.  At a natural end the
@@ -612,87 +606,34 @@ class StreamRuntime:
         :class:`~repro.core.errors.StreamFailedError` under
         ``ResilienceConfig.fail_fast``.
         """
-        start = self._clock()
+        # Each run rates its own records over its own time.
+        self._loop_start = self._clock()
         self._run_consumed = 0
+        self._next_stats_at = int(self._m_records.value) + self.stats_every
         consumed = 0
-        paused = False
-        next_stats = int(self._m_records.value) + self.stats_every
         while not self.failed:
-            if self._outbox:
-                self._drain_outbox()
-                if self.failed:
-                    break
-            # Clamp the poll so a max_records pause never strands polled
-            # but unobserved records (the source position moves with the
-            # poll, so anything pulled must be consumed).
-            want = self.poll_batch
-            if max_records is not None:
-                want = min(want, max_records - consumed)
-            ok, batch = self._attempt(
-                "source.poll", lambda: self.source.poll(want)
+            if max_records is not None and consumed >= max_records:
+                # Pause: keep open sessions, persist where we are.
+                self.checkpoint()
+                self._emit_stats(self._loop_start)
+                return self.stats
+            got = self._cycle(
+                None if max_records is None else max_records - consumed
             )
-            if not ok:
-                if self.failed:
-                    break
+            if got is None:
                 # Transient outage: behave like an idle poll (never an
                 # end-of-input, even in once mode) and try again.
-                self._sleep(self.poll_interval)
+                if not self.failed:
+                    self._sleep(self.poll_interval)
                 continue
-            if not batch:
-                flush_pending = getattr(
-                    self.source, "flush_pending", None
-                )
-                if flush_pending is not None:
-                    batch = flush_pending()
-            if not batch:
-                if once or self.source.exhausted():
-                    break
-                # One stats emission when the stream goes quiet, then
-                # silence until records flow again — not one per poll.
-                if int(self._m_records.value) != self._stats_emitted_at:
-                    self._emit_stats(start)
-                self._sleep(self.poll_interval)
+            consumed += got
+            if got:
                 continue
-
-            emitted_before = int(self._m_reports.value)
-            alerts = self.detector.observe_batch(batch)
-            for record, alert in zip(batch, alerts):
-                consumed += 1
-                next_stats = self._ingest(
-                    record, start, next_stats, alert=alert
-                )
-            overdue = (
-                int(self._m_records.value) - self._last_checkpoint_at
-                >= self.checkpoint_every
-            )
-            if int(self._m_reports.value) != emitted_before or overdue:
-                self.checkpoint()
-            if max_records is not None and consumed >= max_records:
-                paused = True
+            if once or self.source.exhausted():
                 break
-
-        if not paused and not self.failed:
-            finalize = getattr(self.source, "finalize", None)
-            if finalize is not None:
-                ok, tail = self._attempt("source.finalize", finalize)
-                for record in tail or ():
-                    next_stats = self._ingest(record, start, next_stats)
-            for closed in self.tracker.flush():
-                self._finalize(closed)
-            if self._outbox:
-                self._drain_outbox()
-        self.checkpoint()
-        self._emit_stats(start)
-        if self.failed:
-            log.error(
-                "stream runtime FAILED (%s); stopped at last checkpoint",
-                self._failure,
-            )
-            if self.resilience.fail_fast:
-                raise StreamFailedError(
-                    self._failure or "circuit breaker open"
-                )
-        return self.stats
+            self._note_quiet()
+            self._sleep(self.poll_interval)
+        return self.finish()
 
     def drain(self) -> RuntimeStats:
         """Convenience: process everything currently available and stop."""
@@ -711,92 +652,44 @@ class StreamRuntime:
         checkpoint when reports were emitted or a checkpoint is overdue.
         Returning ``0`` means the quantum was idle (nothing available,
         or the breaker is open — check :attr:`failed`); the caller owns
-        pacing between quanta.  Semantics per record are identical to
-        :meth:`run`, so stepped output matches a standalone run on the
-        same stream.  Finish a stepped stream with :meth:`finish`.
+        pacing between quanta.  :meth:`run` is a loop over this cycle,
+        so stepped output matches a standalone run on the same stream.
+        Finish a stepped stream with :meth:`finish`.
         """
-        if self._loop_start is None:
-            self._loop_start = self._clock()
-            self._run_consumed = 0
-        if self._next_stats_at is None:
-            self._next_stats_at = (
-                int(self._m_records.value) + self.stats_every
-            )
-        if self.failed:
-            return 0
-        if self._outbox:
-            self._drain_outbox()
-            if self.failed:
-                return 0
-        want = self.poll_batch
-        if max_records is not None:
-            want = min(want, max_records)
-        if want <= 0:
-            return 0
-        ok, batch = self._attempt(
-            "source.poll", lambda: self.source.poll(want)
-        )
-        if not ok:
-            return 0
-        if not batch:
-            flush_pending = getattr(self.source, "flush_pending", None)
-            if flush_pending is not None:
-                batch = flush_pending()
-        if not batch:
-            if int(self._m_records.value) != self._stats_emitted_at:
-                self._emit_stats(self._loop_start)
-            return 0
-        emitted_before = int(self._m_reports.value)
-        consumed = 0
-        alerts = self.detector.observe_batch(batch)
-        for record, alert in zip(batch, alerts):
-            consumed += 1
-            self._next_stats_at = self._ingest(
-                record, self._loop_start, self._next_stats_at,
-                alert=alert,
-            )
-        overdue = (
-            int(self._m_records.value) - self._last_checkpoint_at
-            >= self.checkpoint_every
-        )
-        if int(self._m_reports.value) != emitted_before or overdue:
-            self.checkpoint()
-        return consumed
+        got = self._cycle(max_records)
+        if got == 0:
+            self._note_quiet()
+        return got or 0
 
     def finish(self) -> RuntimeStats:
-        """End-of-stream epilogue for a stepped runtime.
+        """End-of-stream epilogue, shared by :meth:`run` and stepping.
 
-        Mirrors the natural end of :meth:`run`: collect the source's
-        tail (``finalize``), flush the tracker so every open session
-        gets its report, drain the outbox, checkpoint, and emit a final
-        stats snapshot.
+        Collect the source's tail (``finalize``), flush the tracker so
+        every open session gets its report, drain the outbox,
+        checkpoint, and emit a final stats snapshot.
         """
-        start = (
-            self._loop_start
-            if self._loop_start is not None else self._clock()
-        )
-        if self._next_stats_at is None:
-            self._next_stats_at = (
-                int(self._m_records.value) + self.stats_every
-            )
+        self._start_loop()
         if not self.failed:
             finalize = getattr(self.source, "finalize", None)
             if finalize is not None:
                 ok, tail = self._attempt("source.finalize", finalize)
-                for record in tail or ():
-                    self._next_stats_at = self._ingest(
-                        record, start, self._next_stats_at
-                    )
+                if tail:
+                    self._ingest_batch(tail)
             for closed in self.tracker.flush():
                 self._finalize(closed)
             if self._outbox:
                 self._drain_outbox()
         self.checkpoint()
-        self._emit_stats(start)
-        if self.failed and self.resilience.fail_fast:
-            raise StreamFailedError(
-                self._failure or "circuit breaker open"
+        self._emit_stats(self._loop_start)
+        if self.failed:
+            log.error(
+                "stream runtime FAILED (%s); stopped at last checkpoint",
+                self._failure,
             )
+            if self.resilience.fail_fast:
+                raise StreamFailedError(
+                    self._failure or "circuit breaker open"
+                )
         return self.stats
 
     def force_evict(self, count: int) -> int:
@@ -815,29 +708,79 @@ class StreamRuntime:
 
     # -- internals --------------------------------------------------------
 
-    def _ingest(
-        self,
-        record,
-        start: float,
-        next_stats: int,
-        alert: "LiveAlert | None | object" = _OBSERVE,
-    ) -> int:
-        self._m_records.inc()
-        self._run_consumed += 1
-        if alert is _OBSERVE:
-            # Tail paths (source.finalize) ingest a handful of records
-            # outside the batched pre-match; they observe inline.
-            alert = self.detector.observe(record)
-        if alert is not None:
-            self._m_live_alerts.inc()
-            if self.on_alert is not None:
-                self.on_alert(alert)
-        for closed in self.tracker.observe(record):
-            self._finalize(closed)
-        if int(self._m_records.value) >= next_stats:
-            next_stats += self.stats_every
-            self._emit_stats(start)
-        return next_stats
+    def _start_loop(self) -> None:
+        """Start the rate clock and stats cadence once per stepped run."""
+        if self._loop_start is None:
+            self._loop_start = self._clock()
+            self._run_consumed = 0
+        if self._next_stats_at is None:
+            self._next_stats_at = (
+                int(self._m_records.value) + self.stats_every
+            )
+
+    def _cycle(self, max_records: int | None) -> int | None:
+        """One poll/ingest/checkpoint cycle.
+
+        Returns the records consumed, ``0`` for an idle poll, and
+        ``None`` when no poll succeeded (outage, open breaker, or a zero
+        budget) — an outage is never an end of input.
+        """
+        self._start_loop()
+        if self.failed:
+            return None
+        if self._outbox:
+            self._drain_outbox()
+            if self.failed:
+                return None
+        # Clamp the poll so a max_records pause never strands polled
+        # but unobserved records (the source position moves with the
+        # poll, so anything pulled must be consumed).
+        want = self.poll_batch
+        if max_records is not None:
+            want = min(want, max_records)
+        if want <= 0:
+            return None
+        ok, batch = self._attempt(
+            "source.poll", lambda: self.source.poll(want)
+        )
+        if not ok:
+            return None
+        if not batch:
+            flush_pending = getattr(self.source, "flush_pending", None)
+            if flush_pending is not None:
+                batch = flush_pending()
+        if not batch:
+            return 0
+        emitted_before = int(self._m_reports.value)
+        self._ingest_batch(batch)
+        overdue = (
+            int(self._m_records.value) - self._last_checkpoint_at
+            >= self.checkpoint_every
+        )
+        if int(self._m_reports.value) != emitted_before or overdue:
+            self.checkpoint()
+        return len(batch)
+
+    def _note_quiet(self) -> None:
+        """One stats emission when the stream goes quiet, then silence
+        until records flow again — not one per idle poll."""
+        if int(self._m_records.value) != self._stats_emitted_at:
+            self._emit_stats(self._loop_start)
+
+    def _ingest_batch(self, batch) -> None:
+        alerts = self.detector.observe_batch(batch)
+        for record, alert in zip(batch, alerts):
+            self._m_records.inc()
+            self._run_consumed += 1
+            if alert is not None:
+                self._m_live_alerts.inc()
+                if self.on_alert is not None:
+                    self.on_alert(alert)
+            for closed in self.tracker.observe(record):
+                self._finalize(closed)
+            if int(self._m_records.value) >= self._next_stats_at:
+                self._next_stats_at += self.stats_every
+                self._emit_stats(self._loop_start)
 
     def _finalize(self, closed: ClosedSession) -> None:
         fid = finalization_id(closed.session)

@@ -2,11 +2,12 @@
 
 Expensive fixtures are session-scoped; tests must not mutate them.
 
-Setting ``REPRO_TRAIN_WORKERS=N`` trains every shared model through the
-sharded parallel pipeline (``IntelLog.train(..., workers=N)``) instead of
-the serial loop.  The pipeline's deterministic merge guarantees a
-byte-identical model, so the whole suite doubles as a serial-vs-parallel
-equivalence check — CI runs one matrix leg with it set to 2.
+Setting ``REPRO_TRAIN_WORKERS=N`` trains every shared model with ``N``
+worker processes (``IntelLog.train(..., workers=N)``) instead of the
+inline default.  The pipeline's deterministic merge guarantees a
+byte-identical model, so the whole suite doubles as an
+inline-vs-multiprocess equivalence check — CI runs one matrix leg with
+it set to 2.
 """
 
 from __future__ import annotations

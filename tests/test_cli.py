@@ -274,7 +274,10 @@ class TestMetricsFlags:
                 "samples"
             ]
         }
-        assert {"train.spell", "train.extract", "train.graph"} <= spans
+        assert {
+            "train.parallel", "train.parse", "train.merge",
+            "train.extract", "train.stats", "train.apply",
+        } <= spans
 
     def test_detect_metrics_out_counts_every_record(self, log_files,
                                                     capsys):

@@ -175,12 +175,3 @@ class TestRendering:
             "gamma monitor",
         }
         assert data["groups"]["beta worker"]["parent"] == "alpha service"
-
-    def test_networkx_export(self):
-        graph = figure7_builder().build()
-        nx_graph = graph.to_networkx()
-        assert nx_graph.has_edge("alpha service", "beta worker")
-        assert (
-            nx_graph.edges["alpha service", "beta worker"]["relation"]
-            == "PARENT"
-        )

@@ -1,10 +1,10 @@
 """Tests for ``repro.parallel``: sharding, merge determinism, the memo
-cache and the pipeline's serial equivalence.
+cache and the pipeline's equivalence with record-at-a-time training.
 
 The hypothesis suites pin the deterministic-merge invariant directly:
 the merged parser state is a pure function of the corpus — independent of
 the order shard results arrive in and of how many workers produced them —
-and the parallel pipeline is extensionally equal to the serial trainer.
+and the pipeline is extensionally equal to :func:`reference_train`.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import IntelLog
+from repro.extraction.pipeline import InformationExtractor
+from repro.graph.hwgraph import HWGraphBuilder
 from repro.parallel import (
     MIN_BATCH_RECORDS,
     ExtractionCache,
@@ -45,6 +47,7 @@ from repro.parallel import (
 )
 from repro.parallel.pipeline import _run_tasks
 from repro.parsing.records import LogRecord, Session
+from repro.parsing.spell import SpellParser
 
 # -- corpus strategies --------------------------------------------------------
 #
@@ -111,6 +114,38 @@ def model_json(intellog) -> str:
     return json.dumps(intellog.hw_graph().to_dict(), sort_keys=True)
 
 
+def reference_train(sessions, tau: float = 1.7):
+    """Record-at-a-time trainer: the independent reference for the pipeline.
+
+    Every record is consumed by one Spell parser in corpus order, the
+    final key table becomes Intel Keys, and each session's Intel
+    Messages feed the HW-graph builder in corpus order.  Returns
+    ``(spell, intel_keys, graph)``.
+    """
+    spell = SpellParser(tau=tau)
+    extractor = InformationExtractor()
+    session_keys = [
+        [(record, spell.consume(record.message).key_id) for record in session]
+        for session in sessions
+    ]
+    intel_keys = extractor.build_all(spell.keys())
+    builder = HWGraphBuilder(intel_keys)
+    for session, pairs in zip(sessions, session_keys):
+        messages = []
+        for record, key_id in pairs:
+            intel_key = intel_keys.get(key_id)
+            if intel_key is None:
+                continue
+            message = extractor.to_intel_message(
+                intel_key, record.message,
+                timestamp=record.timestamp, session_id=session.session_id,
+            )
+            if message is not None:
+                messages.append(message)
+        builder.train_session(messages)
+    return spell, intel_keys, builder.build()
+
+
 # -- property-based: the deterministic-merge invariant ------------------------
 
 
@@ -164,20 +199,21 @@ class TestMergeProperties:
     @settings(max_examples=15, deadline=None)
     def test_pipeline_equals_serial_trainer(self, sessions, workers):
         """Key tables, Intel Keys, groups and subroutines all agree with
-        the serial trainer for any worker count (inline path)."""
-        serial = IntelLog()
-        serial.train(sessions)
+        the record-at-a-time reference trainer (inline path)."""
+        spell, intel_keys, graph = reference_train(sessions)
         # workers>1 would spawn real processes per hypothesis example;
         # the inline path runs the identical shard/merge/apply code, and
         # the multiprocess leg is covered by the non-property tests and
         # the golden suite.
         parallel = IntelLog()
         parallel.train(sessions, workers=1)
-        assert spell_state(parallel.spell) == spell_state(serial.spell)
+        assert spell_state(parallel.spell) == spell_state(spell)
         assert {
             k: v.to_dict() for k, v in parallel.intel_keys.items()
-        } == {k: v.to_dict() for k, v in serial.intel_keys.items()}
-        assert model_json(parallel) == model_json(serial)
+        } == {k: v.to_dict() for k, v in intel_keys.items()}
+        assert model_json(parallel) == json.dumps(
+            graph.to_dict(), sort_keys=True
+        )
 
 
 # -- sharding ----------------------------------------------------------------
@@ -331,10 +367,12 @@ class TestTrainParallel:
         # Inline runs ship nothing across a process boundary.
         assert report.payload_bytes_total == 0
 
-    def test_serial_train_leaves_no_report(self):
+    def test_default_train_runs_pipeline_inline(self):
         intellog = IntelLog()
         intellog.train(self._sessions())
-        assert intellog.last_parallel_report is None
+        report = intellog.last_parallel_report
+        assert report is not None
+        assert report.workers == report.pool_workers == 1
 
     def test_multiprocess_equals_serial(self):
         sessions = self._sessions()

@@ -495,6 +495,23 @@ class TestRestartResume:
             f"tick {i}" for i in range(92, 100)
         ]
 
+    def test_backlog_drains_without_shedding(self):
+        """Default gulps (1024) outsize default quanta (512): the queue
+        must refill only when it cannot serve a poll, so a large backlog
+        flows through whole and in order instead of being shed."""
+        records = [
+            record(i, f"tick {i}", sid=f"s{i % 7}") for i in range(20_000)
+        ]
+        queue = BoundedQueueSource(IterableSource(records))
+        got = []
+        peak = 0
+        while batch := queue.poll(512):
+            got.extend(batch)
+            peak = max(peak, queue.queue_depth)
+        assert queue.shed == 0
+        assert [r.message for r in got] == [r.message for r in records]
+        assert peak < queue.capacity
+
     def test_service_restart_emits_no_duplicate_reports(
         self, tmp_path, registry
     ):
@@ -554,9 +571,26 @@ class _ExplodingSource:
         pass
 
 
+class _FakeTime:
+    """Injected clock/sleep pair: sleeping advances the clock, instantly."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def clock(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.now += seconds
+
+
 class TestHealthIsolation:
     def test_one_failing_tenant_does_not_stall_the_fleet(self, registry):
-        svc = DetectionService(registry, ServeConfig(workers=0))
+        fake = _FakeTime()
+        svc = DetectionService(
+            registry, ServeConfig(workers=0),
+            clock=fake.clock, sleep=fake.sleep,
+        )
         good_sink = ListSink()
         svc.attach(
             TenantSpec(tenant_id="good", model="spark-prod", **UNBOUNDED),
