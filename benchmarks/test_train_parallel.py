@@ -18,6 +18,8 @@ Trains the same corpus serially and through the batched sharded pipeline
   and adding the parent's serial stages (merge, extraction, apply) —
   asserted >= 1.8x at 4 workers on every host, and recomputable from
   the serialized per-run ``report`` artifacts;
+* ``serial_share`` — those serial stages as a share of the modeled
+  1-worker wall, with the ``apply`` stage's part (reported, not gated);
 * ``model_equality`` — serial vs parallel canonical model digests
   (asserted: byte-identical for every worker count);
 * extraction-cache accounting (asserted conserved across worker
@@ -135,6 +137,12 @@ def test_parallel_training_speedup_and_equality():
     results["modeled_speedup"] = {
         str(n): base.modeled_speedup(n) for n in (2, 4, 8)
     }
+    # The parent's serial stages as a share of the modeled 1-worker
+    # wall: the fraction no worker count can shrink.
+    results["serial_share"] = {
+        "total": base.serial_overhead / base.modeled_wall(1),
+        "apply": base.apply_wall / base.modeled_wall(1),
+    }
     assert restored.modeled_speedup(4) == base.modeled_speedup(4), (
         "modeled speedup is not recomputable from the serialized report"
     )
@@ -206,6 +214,12 @@ def test_parallel_training_speedup_and_equality():
             f"{n}w={results['modeled_speedup'][str(n)]:.2f}x"
             for n in (2, 4, 8)
         )
+    )
+    lines.append(
+        f"serial stages: {results['serial_share']['total']:.1%} of the "
+        f"modeled 1-worker wall (merge {base.merge_wall:.3f}s, extract "
+        f"{base.extract_wall:.3f}s, apply {base.apply_wall:.3f}s = "
+        f"{results['serial_share']['apply']:.1%})"
     )
     cache = results["extraction_cache"]
     lines.append(

@@ -31,7 +31,12 @@ from ..extraction.intelkey import IntelKey, IntelMessage
 from ..extraction.pipeline import InformationExtractor
 from ..graph.hwgraph import HWGraph
 from ..parsing.formatters import default_registry
-from ..parsing.records import LogRecord, Session, split_sessions
+from ..parsing.records import (
+    LogRecord,
+    Session,
+    split_sessions,
+    yarn_session_key,
+)
 from ..parsing.spell import SpellParser
 from .config import IntelLogConfig
 from .errors import (
@@ -173,6 +178,7 @@ class IntelLog:
                     record.message,
                     timestamp=record.timestamp,
                     session_id=session.session_id,
+                    raw_tokens=match.raw_tokens,
                 )
                 if message is not None:
                     out.append(message)
@@ -206,9 +212,11 @@ class IntelLog:
     def _format(
         self, lines: Iterable[str], formatter: str | None
     ) -> list[LogRecord]:
+        """Format raw lines and attribute them to YARN containers (the
+        same attribution the streaming file follower applies)."""
         name = formatter or self.config.formatter
         fmt = default_registry().get(name)
-        return list(fmt.parse_lines(lines))
+        return [yarn_session_key(record) for record in fmt.parse_lines(lines)]
 
     def _require_detector(self) -> AnomalyDetector:
         if self._detector is None:

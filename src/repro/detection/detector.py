@@ -27,6 +27,7 @@ from ..extraction.intelkey import IntelKey
 from ..extraction.pipeline import InformationExtractor
 from ..graph.hwgraph import HWGraph
 from ..graph.lifespan import BEFORE, PARENT
+from ..nlp.tokenizer import mask_message
 from ..parsing.records import LogRecord, Session
 from ..parsing.spell import LogKey, MatchResult, SpellParser
 from .instance import HWGraphInstance
@@ -295,7 +296,9 @@ class AnomalyDetector:
         """Build the unexpected-message anomaly with on-the-fly extraction."""
         ad_hoc = LogKey(
             key_id="<unexpected>",
-            tokens=_starified_template(record.message),
+            # Variable-looking tokens become ``*`` so the §3 field
+            # heuristics can classify them.
+            tokens=mask_message(record.message)[0],
             sample=record.message,
         )
         intel_key = self.extractor.build_intel_key(ad_hoc)
@@ -462,18 +465,6 @@ class AnomalyDetector:
                             group=a,
                         )
                     )
-
-
-def _starified_template(message: str) -> list[str]:
-    """Turn a raw message into a pseudo log key: variable-looking tokens
-    (identifiers, numbers, localities) become ``*`` so the §3 field
-    heuristics can classify them."""
-    from ..nlp.tokenizer import tokenize
-
-    return [
-        "*" if t.kind in ("ident", "number", "hostport", "path") else t.text
-        for t in tokenize(message)
-    ]
 
 
 def _extraction_summary(

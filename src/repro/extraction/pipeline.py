@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from ..nlp.camelcase import FilterChain, make_default_chain
 from ..nlp.depparser import parse_tagged
 from ..nlp.postagger import TaggedToken, tag
+from ..nlp.tokenizer import words
 from ..parsing.spell import STAR, LogKey, extract_parameters
 from .entities import extract_entities
 from .idvalue import FieldClassifier, FieldRole
@@ -242,9 +243,7 @@ class InformationExtractor:
         """
         if captures is None:
             if raw_tokens is None:
-                from ..nlp.tokenizer import words as _words
-
-                raw_tokens = _words(message)
+                raw_tokens = words(message)
             captures = extract_parameters(
                 list(intel_key.template), raw_tokens
             )

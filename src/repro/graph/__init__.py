@@ -24,6 +24,7 @@ from .lifespan import (
     Lifespan,
     RelationMatrix,
     session_lifespans,
+    session_relations,
 )
 from .render import dump_json, render_summary, render_tree, to_json
 from .subroutine import (
@@ -64,5 +65,6 @@ __all__ = [
     "render_summary",
     "render_tree",
     "session_lifespans",
+    "session_relations",
     "to_json",
 ]

@@ -14,7 +14,13 @@ from typing import Any, Iterable, Mapping
 
 from ..extraction.intelkey import IntelKey, IntelMessage
 from .grouping import GroupingResult, group_entities
-from .lifespan import BEFORE, PARENT, Lifespan, RelationMatrix
+from .lifespan import (
+    BEFORE,
+    PARENT,
+    Lifespan,
+    RelationMatrix,
+    session_relations,
+)
 from .subroutine import (
     Subroutine,
     SubroutineModel,
@@ -29,26 +35,17 @@ class GroupSessionStats:
 
     label: str
     updates: list[SubroutineUpdate]
-    lifespan: tuple[float, float]
     max_key_repeat: int
 
     def to_payload(self) -> list:
         """Compact picklable form (used by ``repro.parallel`` shards)."""
-        return [
-            self.label,
-            [[list(sig), list(seq)] for sig, seq in self.updates],
-            list(self.lifespan),
-            self.max_key_repeat,
-        ]
+        return [self.label, self.updates, self.max_key_repeat]
 
     @classmethod
     def from_payload(cls, data: list) -> "GroupSessionStats":
-        label, updates, lifespan, max_key_repeat = data
+        label, updates, max_key_repeat = data
         return cls(
-            label=label,
-            updates=[(tuple(sig), list(seq)) for sig, seq in updates],
-            lifespan=(lifespan[0], lifespan[1]),
-            max_key_repeat=int(max_key_repeat),
+            label=label, updates=updates, max_key_repeat=max_key_repeat
         )
 
 
@@ -65,6 +62,9 @@ class SessionStats:
     """
 
     groups: list[GroupSessionStats] = field(default_factory=list)
+    #: :func:`~repro.graph.lifespan.session_relations` of the groups'
+    #: lifespans: one relation code per pair of the sorted group labels.
+    relations: bytes = b""
 
 
 def session_group_stats(
@@ -75,7 +75,8 @@ def session_group_stats(
 
     Group labels are visited in sorted order so the result — and
     everything downstream of it — is independent of set iteration order
-    (PYTHONHASHSEED).
+    (PYTHONHASHSEED).  The pairwise lifespan relations are classified
+    here too, so folding the result only increments counts.
     """
     ordered = sorted(messages, key=lambda m: m.timestamp)
     per_group: dict[str, list[IntelMessage]] = {}
@@ -84,6 +85,7 @@ def session_group_stats(
             per_group.setdefault(label, []).append(message)
 
     stats = SessionStats()
+    lifespans: dict[str, Lifespan] = {}
     for label, group_msgs in per_group.items():
         key_repeats: dict[str, int] = {}
         for message in group_msgs:
@@ -94,12 +96,13 @@ def session_group_stats(
             GroupSessionStats(
                 label=label,
                 updates=session_updates(group_msgs),
-                lifespan=(
-                    group_msgs[0].timestamp, group_msgs[-1].timestamp
-                ),
                 max_key_repeat=max(key_repeats.values()),
             )
         )
+        lifespans[label] = Lifespan(
+            group_msgs[0].timestamp, group_msgs[-1].timestamp
+        )
+    stats.relations = session_relations(lifespans)
     return stats
 
 
@@ -332,17 +335,17 @@ class HWGraphBuilder:
         which is what lets ``repro.parallel`` compute the stats in worker
         processes.
         """
-        lifespans: dict[str, Lifespan] = {}
         for group_stats in stats.groups:
             node = self.graph.groups[group_stats.label]
             node.session_count += 1
             node.model.apply_updates(group_stats.updates)
-            lifespans[group_stats.label] = Lifespan(*group_stats.lifespan)
             node.max_key_repeat = max(
                 node.max_key_repeat, group_stats.max_key_repeat
             )
 
-        self.graph.relations.observe_session(lifespans)
+        self.graph.relations.observe_relations(
+            sorted(group.label for group in stats.groups), stats.relations
+        )
         self.graph.training_sessions += 1
 
     # -- finalisation ---------------------------------------------------------------

@@ -12,13 +12,20 @@ first and last log message.  Two groups are related by:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import combinations
+from typing import Iterable, Mapping, Sequence
 
 PARENT = "PARENT"
 CHILD = "CHILD"
 BEFORE = "BEFORE"
 AFTER = "AFTER"
 PARALLEL = "PARALLEL"
+EQUAL = "EQUAL"
+
+#: Relation of the first group of a pair towards the second, indexed by
+#: the one-byte code :func:`session_relations` emits.
+RELATION_CODES = (PARENT, CHILD, EQUAL, BEFORE, AFTER, PARALLEL)
+_PARENT, _CHILD, _EQUAL, _BEFORE, _AFTER, _PARALLEL = range(6)
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,33 +81,24 @@ class RelationMatrix:
 
     def observe_session(self, lifespans: Mapping[str, Lifespan]) -> None:
         """Record the pairwise relations implied by one session."""
-        names = sorted(lifespans)
+        self.observe_relations(sorted(lifespans), session_relations(lifespans))
+
+    def observe_relations(self, names: Sequence[str], codes: bytes) -> None:
+        """Fold one session's pre-classified pair relations.
+
+        ``names`` are the session's group labels in sorted order and
+        ``codes`` is :func:`session_relations` of its lifespans: one
+        relation code per pair of ``names``, in sorted-pair order (a
+        length mismatch raises ``ValueError``).
+        """
         self._groups.update(names)
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                la, lb = lifespans[a], lifespans[b]
-                if la.strictly_contains(lb):
-                    rel = PARENT
-                elif lb.strictly_contains(la):
-                    rel = CHILD
-                elif la.contains(lb) and lb.contains(la):
-                    # Identical lifespans (checked before BEFORE/AFTER so
-                    # zero-width intervals do not read as orderings); a
-                    # dedicated mark that does not break a consistent
-                    # PARENT vote from other sessions.
-                    rel = "EQUAL"
-                elif la.precedes(lb):
-                    # Same boundary as detection-side _check_hierarchy:
-                    # touching spans (la.end == lb.start) count as
-                    # ordered.  The EQUAL branch above already caught
-                    # identical (incl. zero-width) lifespans, so the two
-                    # precedes tests cannot both be true here.
-                    rel = BEFORE
-                elif lb.precedes(la):
-                    rel = AFTER
-                else:
-                    rel = PARALLEL
-                counts = self._observations.setdefault((a, b), {})
+        observations = self._observations
+        for pair, code in zip(combinations(names, 2), codes, strict=True):
+            rel = RELATION_CODES[code]
+            counts = observations.get(pair)
+            if counts is None:
+                observations[pair] = {rel: 1}
+            else:
                 counts[rel] = counts.get(rel, 0) + 1
 
     @property
@@ -123,7 +121,7 @@ class RelationMatrix:
             return PARALLEL
         if sum(observed.values()) < self.min_support:
             return PARALLEL
-        effective = {rel for rel in observed if rel != "EQUAL"}
+        effective = {rel for rel in observed if rel != EQUAL}
         if not effective:
             return PARALLEL
         if len(effective) == 1:
@@ -167,6 +165,43 @@ class RelationMatrix:
                 rel: int(count) for rel, count in counts.items()
             }
         return matrix
+
+
+def session_relations(lifespans: Mapping[str, Lifespan]) -> bytes:
+    """Classify every group pair of one session (pure).
+
+    One code (an index into :data:`RELATION_CODES`) per pair ``(a, b)``
+    of the sorted group labels, ``a < b``, in sorted-pair order — the
+    order :func:`itertools.combinations` yields them in — giving ``a``'s
+    relation towards ``b``.
+    """
+    spans = [lifespans[name] for name in sorted(lifespans)]
+    codes = bytearray()
+    for i, la in enumerate(spans):
+        for lb in spans[i + 1:]:
+            if la.strictly_contains(lb):
+                code = _PARENT
+            elif lb.strictly_contains(la):
+                code = _CHILD
+            elif la.contains(lb) and lb.contains(la):
+                # Identical lifespans (checked before BEFORE/AFTER so
+                # zero-width intervals do not read as orderings); a
+                # dedicated mark that does not break a consistent
+                # PARENT vote from other sessions.
+                code = _EQUAL
+            elif la.precedes(lb):
+                # Same boundary as detection-side _check_hierarchy:
+                # touching spans (la.end == lb.start) count as ordered.
+                # The EQUAL branch above already caught identical (incl.
+                # zero-width) lifespans, so the two precedes tests cannot
+                # both be true here.
+                code = _BEFORE
+            elif lb.precedes(la):
+                code = _AFTER
+            else:
+                code = _PARALLEL
+            codes.append(code)
+    return bytes(codes)
 
 
 def session_lifespans(

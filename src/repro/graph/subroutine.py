@@ -171,33 +171,32 @@ class Subroutine:
         """Consume one instance's Intel Key sequence (UpdateSubroutine)."""
         self.instance_count += 1
         self.instance_lengths.append(len(key_sequence))
-        first_pos: dict[str, int] = {}
-        for pos, key in enumerate(key_sequence):
-            first_pos.setdefault(key, pos)
-        observed = list(first_pos)
+        # Distinct keys in first-occurrence order.
+        observed = list(dict.fromkeys(key_sequence))
 
+        key_counts = self.key_counts
         for key in observed:
-            if key not in self.key_counts:
+            count = key_counts.get(key)
+            if count is None:
                 self.keys.append(key)
                 # A key first seen now was missing from earlier instances.
-                self.key_counts[key] = 0
-            self.key_counts[key] += 1
+                count = 0
+            key_counts[key] = count + 1
 
-        # Update pairwise order relations among co-occurring keys.
+        # Update pairwise order relations among co-occurring keys; ``a``
+        # first occurs before ``b``.  ``compared`` holds one orientation
+        # per pair (the first observed) and ``before`` keeps it until an
+        # instance contradicts it.
+        compared, before = self.compared, self.before
         for i, a in enumerate(observed):
             for b in observed[i + 1:]:
-                pa, pb = first_pos[a], first_pos[b]
-                earlier, later = (a, b) if pa < pb else (b, a)
-                pair = (earlier, later)
-                reverse = (later, earlier)
-                if pair in self.compared or reverse in self.compared:
-                    # Seen before: keep BEFORE only if consistent.
-                    if reverse in self.before:
-                        self.before.discard(reverse)
-                    # pair in before stays; pair order matches.
+                if (a, b) in compared:
+                    continue
+                if (b, a) in compared:
+                    before.discard((b, a))
                 else:
-                    self.compared.add(pair)
-                    self.before.add(pair)
+                    compared.add((a, b))
+                    before.add((a, b))
 
     # -- detection -------------------------------------------------------------
 

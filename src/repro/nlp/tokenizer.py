@@ -75,9 +75,67 @@ def tokenize(text: str) -> list[Token]:
     return list(iter_tokens(text))
 
 
+#: Surface form of a masked (variable) token in log keys.
+STAR = "*"
+
+#: Token kinds that are variable by construction and are masked to ``*``
+#: before template matching (the standard log-parser preprocessing step:
+#: identifiers, numerals and localities can never be template constants).
+VARIABLE_KINDS = frozenset({"ident", "number", "hostport", "path"})
+
+#: Whitespace-delimited chunk -> (masked tokens, raw tokens) memo, shared
+#: by :func:`words` and :func:`mask_message`.  No token pattern can span
+#: whitespace, so tokenizing chunk-by-chunk is exactly equivalent to
+#: tokenizing the whole message (``tests/test_match_parity.py`` and the
+#: tokenizer properties prove it); log streams draw their chunks from a
+#: small working vocabulary, so the memo turns the regex tokenizer into a
+#: few dict hits per message.  Bounded by wholesale reset; worst case
+#: under races is a duplicate tokenize, never a wrong one.
+_CHUNK_MEMO: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+_CHUNK_MEMO_CAP = 65536
+
+
+def _memo_miss(chunk: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Tokenize one chunk the memo has not seen and remember it."""
+    tokens = list(iter_tokens(chunk))
+    entry = (
+        tuple(STAR if t.kind in VARIABLE_KINDS else t.text for t in tokens),
+        tuple(t.text for t in tokens),
+    )
+    if len(_CHUNK_MEMO) >= _CHUNK_MEMO_CAP:
+        _CHUNK_MEMO.clear()
+    _CHUNK_MEMO[chunk] = entry
+    return entry
+
+
 def words(text: str) -> list[str]:
-    """Tokenize and return surface strings only."""
-    return [token.text for token in iter_tokens(text)]
+    """Tokenize and return surface strings only (memoised per chunk)."""
+    out: list[str] = []
+    memo = _CHUNK_MEMO
+    for chunk in text.split():
+        entry = memo.get(chunk)
+        if entry is None:
+            entry = _memo_miss(chunk)
+        out.extend(entry[1])
+    return out
+
+
+def mask_message(message: str) -> tuple[list[str], list[str]]:
+    """Tokenize ``message`` returning (masked tokens, raw tokens).
+
+    Masked tokens replace identifier/number/locality tokens with ``*``;
+    raw tokens are exactly :func:`words` of ``message``.
+    """
+    masked: list[str] = []
+    raw: list[str] = []
+    memo = _CHUNK_MEMO
+    for chunk in message.split():
+        entry = memo.get(chunk)
+        if entry is None:
+            entry = _memo_miss(chunk)
+        masked.extend(entry[0])
+        raw.extend(entry[1])
+    return masked, raw
 
 
 def detokenize(tokens: list[Token] | list[str]) -> str:

@@ -19,10 +19,11 @@ work in a process pool:
   corpus order first), then extracts the canonical Intel Keys and builds
   the entity grouping.
 * **Phase 2** — every batch rebuilds its Intel Messages and computes
-  per-session HW-graph statistics in a worker
+  per-session HW-graph statistics, including each session's classified
+  group-pair relations, in a worker
   (:func:`~repro.parallel.worker.compute_batch_stats`).
-* **Apply** — the parent folds the statistics in corpus order (never
-  completion order) through the same
+* **Apply** — the parent only folds the statistics, in corpus order
+  (never completion order), through the same
   :meth:`~repro.graph.hwgraph.HWGraphBuilder.apply_session_stats` that
   :meth:`~repro.graph.hwgraph.HWGraphBuilder.train_session` folds
   through, then finalises the hierarchy.
@@ -574,7 +575,8 @@ def train_parallel(
                         groups=[
                             GroupSessionStats.from_payload(payload)
                             for payload in stats.groups
-                        ]
+                        ],
+                        relations=stats.relations,
                     )
                 )
             graph = builder.build()

@@ -11,8 +11,8 @@ in both directions: tasks carry plain token/tuple rows (message strings
 for phase 1; ``(timestamp, message)`` rows plus one batch-deduplicated
 key table for phase 2) instead of pickled :class:`Session` /
 :class:`LogRecord` dataclasses, and results carry only form tables
-(phase 1) or ``GroupSessionStats`` payloads (phase 2) plus the echoed
-content hashes — never the inputs.
+(phase 1) or ``GroupSessionStats`` payloads plus relation codes
+(phase 2) and the echoed content hashes — never the inputs.
 
 Phase 1 (:func:`parse_batch`) masks every message and builds each member
 shard's *form table*: the distinct masked token sequences with their
@@ -45,8 +45,8 @@ import time
 from dataclasses import dataclass, field
 
 from ..graph.hwgraph import session_group_stats
+from ..nlp.tokenizer import mask_message
 from ..parsing.records import Session
-from ..parsing.spell import mask_message
 from .cache import ExtractionCache, process_cache
 
 
@@ -224,6 +224,9 @@ class ShardStats:
     content_hash: str
     #: ``GroupSessionStats.to_payload()`` items, in computation order.
     groups: list = field(default_factory=list)
+    #: ``SessionStats.relations``: one relation code per pair of the
+    #: sorted group labels (the pairs themselves are implied).
+    relations: bytes = b""
     messages: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -300,6 +303,7 @@ def _session_stats(
         index=piece.index,
         content_hash=piece.content_hash,
         groups=[group.to_payload() for group in stats.groups],
+        relations=stats.relations,
         messages=len(messages),
         duration=time.process_time() - started,
     )

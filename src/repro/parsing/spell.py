@@ -37,62 +37,13 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ..nlp.tokenizer import tokenize
+from ..nlp.tokenizer import STAR, mask_message
 from .index import TemplateIndex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs import MetricsRegistry
 
 log = logging.getLogger(__name__)
-
-STAR = "*"
-
-#: Token kinds that are variable by construction and are masked to ``*``
-#: before template matching (the standard log-parser preprocessing step:
-#: identifiers, numerals and localities can never be template constants).
-_VARIABLE_KINDS = frozenset({"ident", "number", "hostport", "path"})
-
-#: Whitespace-delimited chunk -> (masked tokens, raw tokens) memo.  No
-#: token pattern can span whitespace, so tokenizing chunk-by-chunk is
-#: exactly equivalent to tokenizing the whole message (proven by
-#: ``tests/test_match_parity.py``); log streams draw their chunks from a
-#: small working vocabulary, so the memo turns the regex tokenizer —
-#: the dominant cost of a match — into a few dict hits per message.
-#: Bounded by wholesale reset; worst case under races is a duplicate
-#: tokenize, never a wrong one.
-_CHUNK_MEMO: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
-_CHUNK_MEMO_CAP = 65536
-
-
-def _tokenize_chunk(chunk: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    masked: list[str] = []
-    raw: list[str] = []
-    for token in tokenize(chunk):
-        raw.append(token.text)
-        masked.append(
-            STAR if token.kind in _VARIABLE_KINDS else token.text
-        )
-    return tuple(masked), tuple(raw)
-
-
-def mask_message(message: str) -> tuple[list[str], list[str]]:
-    """Tokenize ``message`` returning (masked tokens, raw tokens).
-
-    Masked tokens replace identifier/number/locality tokens with ``*``.
-    """
-    masked: list[str] = []
-    raw: list[str] = []
-    memo = _CHUNK_MEMO
-    for chunk in message.split():
-        entry = memo.get(chunk)
-        if entry is None:
-            entry = _tokenize_chunk(chunk)
-            if len(memo) >= _CHUNK_MEMO_CAP:
-                memo.clear()
-            memo[chunk] = entry
-        masked.extend(entry[0])
-        raw.extend(entry[1])
-    return masked, raw
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -593,17 +544,24 @@ class SpellParser:
         best_idx = None
         best_len = 0
         lcs_calls = 0
+        seq_tokens = set(seq)
         for idx in sorted(candidates):
             key = self._keys[idx]
             consts = key.constant_tokens()
             # Cheap upper bound prune.
             if min(len(consts), len(seq)) <= best_len:
                 continue
+            # Every LCS token is a template constant that occurs in the
+            # message, so counting those bounds the LCS: a key whose
+            # bound cannot reach the threshold (or beat the best) cannot
+            # win, and its quadratic LCS is skipped.
+            threshold = self._threshold(len(seq), len(key.tokens))
+            bound = sum(1 for token in consts if token in seq_tokens)
+            if bound <= best_len or bound < threshold:
+                continue
             lcs_calls += 1
             common = lcs_length(consts, seq)
-            if common >= self._threshold(len(seq), len(key.tokens)) and (
-                common > best_len
-            ):
+            if common >= threshold and common > best_len:
                 best_idx, best_len = idx, common
         if lcs_calls and self._metrics is not None:
             self._metrics.lcs_comparisons.inc(lcs_calls)

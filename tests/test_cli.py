@@ -4,12 +4,16 @@ import json
 
 import pytest
 
+from repro import IntelLog
 from repro.cli import main
+from repro.parsing.formatters import HadoopFormatter
+from repro.parsing.records import split_sessions
 from repro.simulators import (
     FaultSpec,
     MapReduceConfig,
     MapReduceSimulator,
 )
+from repro.stream.source import yarn_session_key
 
 
 def render_hadoop_lines(job):
@@ -103,6 +107,36 @@ class TestCli:
         main(["inspect", "--model", str(model_path), "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert "groups" in payload
+
+
+class TestFacadeAttribution:
+    """``train_lines``/``detect_lines`` (and so ``repro train/detect``)
+    split an aggregated YARN log per container, like the file follower."""
+
+    def test_train_lines_trains_one_session_per_container(self, log_files):
+        train_file, _, _ = log_files
+        lines = train_file.read_text().splitlines()
+        containers = {
+            yarn_session_key(record).session_id
+            for record in HadoopFormatter().parse_lines(lines)
+        }
+        summary = IntelLog().train_lines(lines, formatter="hadoop")
+        assert len(containers) > 1
+        assert summary.sessions == len(containers)
+
+    def test_detect_lines_equals_attributed_detect_job(self, log_files):
+        train_file, detect_file, _ = log_files
+        intellog = IntelLog()
+        intellog.train_lines(
+            train_file.read_text().splitlines(), formatter="hadoop"
+        )
+        lines = detect_file.read_text().splitlines()
+        expected = intellog.detect_job(split_sessions(
+            map(yarn_session_key, HadoopFormatter().parse_lines(lines))
+        ))
+        report = intellog.detect_lines(lines, formatter="hadoop")
+        assert len(report.sessions) > 1
+        assert report.to_dict() == expected.to_dict()
 
 
 class TestTrainParallelCli:

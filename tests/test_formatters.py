@@ -47,7 +47,32 @@ class TestHadoopFormatter:
         assert "IOException" in records[0].message
 
 
+    def test_impossible_date_is_not_a_record(self):
+        for stamp in ("2019-02-30 10:15:32", "2019-13-01 10:15:32",
+                      "2019-06-22 24:15:32"):
+            line = HADOOP_LINE.replace("2019-06-22 10:15:32", stamp)
+            assert HadoopFormatter().try_parse(line) is None
+
+    def test_impossible_date_folds_as_continuation(self):
+        bad = HADOOP_LINE.replace("2019-06-22", "2019-02-30")
+        records = list(
+            HadoopFormatter().parse_lines([HADOOP_LINE, bad, HADOOP_LINE])
+        )
+        assert len(records) == 2
+        assert records[0].message.endswith("\n" + bad)
+
+
 class TestSparkFormatter:
+    def test_impossible_date_is_not_a_record(self):
+        for stamp in ("19/02/30", "19/13/01"):
+            line = SPARK_LINE.replace("19/06/22", stamp)
+            assert SparkFormatter().try_parse(line) is None
+        records = list(SparkFormatter().parse_lines(
+            [SPARK_LINE, SPARK_LINE.replace("19/06/22", "19/02/30")]
+        ))
+        assert len(records) == 1
+        assert "\n" in records[0].message
+
     def test_parses_fields(self):
         record = SparkFormatter().try_parse(SPARK_LINE)
         assert record is not None

@@ -803,5 +803,6 @@ class TestShardStats:
         assert stats.messages == 3
         [payload] = stats.groups
         assert payload[0] == "worker"  # label
-        assert payload[2] == [0.0, 2.0]  # lifespan
-        assert payload[3] == 3  # max_key_repeat
+        assert payload[2] == 3  # max_key_repeat
+        # One group has no pairs; the lifespan is folded into relations.
+        assert stats.relations == b""

@@ -2,6 +2,8 @@
 invariants."""
 
 import string
+import sys
+from datetime import datetime
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,10 +14,15 @@ from repro.graph.grouping import (
     longest_common_phrase,
     longest_common_word_substring,
 )
-from repro.graph.lifespan import Lifespan, RelationMatrix
+from repro.graph.lifespan import (
+    Lifespan,
+    RelationMatrix,
+    session_relations,
+)
 from repro.graph.subroutine import Subroutine
 from repro.nlp.lemmatizer import singularize
-from repro.nlp.tokenizer import tokenize, words
+from repro.nlp.tokenizer import VARIABLE_KINDS, mask_message, tokenize, words
+from repro.parsing.formatters import HadoopFormatter, SparkFormatter, _epoch
 from repro.parsing.spell import (
     STAR,
     SpellParser,
@@ -51,11 +58,46 @@ class TestTokenizerProperties:
         non_ws = len("".join(text.split()))
         assert covered == non_ws
 
+    #: Every code point ``str.split()`` (and the regex's ``\s``)
+    #: treats as whitespace.
+    WHITESPACE = "".join(
+        c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()
+    )
+
+    unicode_text = st.lists(
+        st.one_of(
+            st.characters(),
+            st.sampled_from(WHITESPACE),
+            st.sampled_from(list("aZ09_-./:*,;'#")),
+            st.sampled_from(["hdfs://n/a", "host1:8020", "attempt_01",
+                             "12.5", "1e9", "10.0.0.1:50010"]),
+        ),
+        max_size=40,
+    ).map("".join)
+
+    @given(unicode_text)
+    @settings(max_examples=300)
+    def test_memoised_tokenizer_equals_whole_message_regex(self, text):
+        # One memo serves both entry points; chunk-wise tokenization
+        # must agree with tokenizing the whole message at once.
+        reference = tokenize(text)
+        masked, raw = mask_message(text)
+        assert words(text) == raw == [t.text for t in reference]
+        assert masked == [
+            STAR if t.kind in VARIABLE_KINDS else t.text for t in reference
+        ]
+
 
 class TestLcsProperties:
     @given(token_lists, token_lists)
     def test_symmetric(self, a, b):
         assert lcs_length(a, b) == lcs_length(b, a)
+
+    @given(token_lists, token_lists)
+    def test_shared_token_count_bounds_lcs(self, a, b):
+        # The bound Spell's LCS scan prunes candidates with.
+        shared = set(b)
+        assert lcs_length(a, b) <= sum(1 for t in a if t in shared)
 
     @given(token_lists, token_lists)
     def test_bounded_by_shorter(self, a, b):
@@ -183,6 +225,43 @@ class TestSubroutineProperties:
         sub.update(seq)
         assert sub.check_instance(seq) == []
 
+    @staticmethod
+    def _reference_update(sub, key_sequence):
+        """``Subroutine.update`` as first written (position-based)."""
+        sub.instance_count += 1
+        sub.instance_lengths.append(len(key_sequence))
+        first_pos = {}
+        for pos, key in enumerate(key_sequence):
+            first_pos.setdefault(key, pos)
+        observed = list(first_pos)
+        for key in observed:
+            if key not in sub.key_counts:
+                sub.keys.append(key)
+                sub.key_counts[key] = 0
+            sub.key_counts[key] += 1
+        for i, a in enumerate(observed):
+            for b in observed[i + 1:]:
+                pa, pb = first_pos[a], first_pos[b]
+                earlier, later = (a, b) if pa < pb else (b, a)
+                pair, reverse = (earlier, later), (later, earlier)
+                if pair in sub.compared or reverse in sub.compared:
+                    if reverse in sub.before:
+                        sub.before.discard(reverse)
+                else:
+                    sub.compared.add(pair)
+                    sub.before.add(pair)
+
+    @given(st.lists(
+        st.lists(st.sampled_from("ABCDE"), max_size=7), max_size=12,
+    ))
+    def test_update_equals_reference(self, sequences):
+        sub = Subroutine(signature=())
+        reference = Subroutine(signature=())
+        for seq in sequences:
+            sub.update(seq)
+            self._reference_update(reference, seq)
+        assert sub == reference
+
 
 class TestLifespanProperties:
     spans = st.tuples(
@@ -200,6 +279,93 @@ class TestLifespanProperties:
                    "BEFORE": "AFTER", "AFTER": "BEFORE",
                    "PARALLEL": "PARALLEL"}
         assert rel_ba == inverse[rel_ab]
+
+    @staticmethod
+    def _reference_observe(matrix, lifespans):
+        """The in-place classification ``observe_session`` used to do."""
+        names = sorted(lifespans)
+        matrix._groups.update(names)
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                la, lb = lifespans[a], lifespans[b]
+                if la.strictly_contains(lb):
+                    rel = "PARENT"
+                elif lb.strictly_contains(la):
+                    rel = "CHILD"
+                elif la.contains(lb) and lb.contains(la):
+                    rel = "EQUAL"
+                elif la.precedes(lb):
+                    rel = "BEFORE"
+                elif lb.precedes(la):
+                    rel = "AFTER"
+                else:
+                    rel = "PARALLEL"
+                counts = matrix._observations.setdefault((a, b), {})
+                counts[rel] = counts.get(rel, 0) + 1
+
+    # Small integer endpoints make zero-width, identical and touching
+    # lifespans common.
+    int_spans = st.tuples(st.integers(0, 6), st.integers(0, 6)).map(
+        lambda p: Lifespan(float(min(p)), float(max(p)))
+    )
+    sessions = st.lists(
+        st.dictionaries(st.sampled_from("abcdef"), int_spans, max_size=6),
+        max_size=6,
+    )
+
+    @given(sessions)
+    @settings(max_examples=300)
+    def test_folded_relation_codes_equal_in_place_classification(
+        self, sessions
+    ):
+        folded = RelationMatrix(min_support=1)
+        reference = RelationMatrix(min_support=1)
+        for lifespans in sessions:
+            folded.observe_relations(
+                sorted(lifespans), session_relations(lifespans)
+            )
+            self._reference_observe(reference, lifespans)
+        assert folded.to_dict() == reference.to_dict()
+        for a in "abcdef":
+            for b in "abcdef":
+                assert folded.relation(a, b) == reference.relation(a, b)
+
+
+class TestFormatterTimestampProperties:
+    stamps = st.datetimes(
+        min_value=datetime(1970, 1, 1), max_value=datetime(2068, 12, 31)
+    ).map(lambda dt: dt.replace(microsecond=0))
+
+    @given(stamps, st.integers(0, 999))
+    @settings(max_examples=300)
+    def test_hadoop_epoch_equals_strptime(self, dt, millis):
+        text = dt.strftime("%Y-%m-%d %H:%M:%S")
+        line = f"{text},{millis:03d} INFO [main] org.a.Cls: hello"
+        record = HadoopFormatter().try_parse(line)
+        expected = _epoch(datetime.strptime(text, "%Y-%m-%d %H:%M:%S"))
+        assert record.timestamp == expected + millis / 1000.0
+
+    @given(stamps)
+    @settings(max_examples=300)
+    def test_spark_epoch_equals_strptime(self, dt):
+        text = dt.strftime("%y/%m/%d %H:%M:%S")
+        record = SparkFormatter().try_parse(f"{text} INFO Cls: hello")
+        expected = _epoch(datetime.strptime(text, "%y/%m/%d %H:%M:%S"))
+        assert record.timestamp == expected
+
+    @given(
+        st.integers(1970, 2068), st.integers(0, 19), st.integers(0, 39),
+        st.integers(0, 29),
+    )
+    def test_unparseable_stamp_is_no_record(self, year, month, day, hour):
+        text = f"{year:04d}-{month:02d}-{day:02d} {hour:02d}:00:00"
+        line = f"{text},000 INFO [main] org.a.Cls: hello"
+        try:
+            datetime.strptime(text, "%Y-%m-%d %H:%M:%S")
+        except ValueError:
+            assert HadoopFormatter().try_parse(line) is None
+        else:
+            assert HadoopFormatter().try_parse(line) is not None
 
 
 class TestMetricsProperties:

@@ -265,6 +265,26 @@ class TestFileFollowerFaults:
         assert entries[0]["line"] == "garbage first line"
         assert entries[0]["offset"] == 0
 
+    def test_impossible_date_is_quarantined_not_raised(self, tmp_path):
+        # Matches the layout but names Feb 30: an orphan such line is
+        # dead-lettered like any other unparseable line, and the poll
+        # goes on to the good lines after it.
+        path = tmp_path / "app.log"
+        path.write_text(
+            "2017-02-30 02:40:00,000 INFO [container_01_000001] "
+            "org.apache.hadoop.Task: impossible date\n"
+            + _lines(0, 2)
+        )
+        source = FileFollowSource(path, formatter="hadoop")
+        records = source.poll(100) + source.finalize()
+        assert [r.message for r in records] == [
+            "message number 0", "message number 1",
+        ]
+        assert source.quarantine.counts["unparseable"] == 1
+        [entry] = source.quarantine.entries
+        assert entry["offset"] == 0
+        assert "impossible date" in entry["line"]
+
 
 # -- checkpoint corruption and recovery ------------------------------------
 
