@@ -9,11 +9,15 @@ Replays simulator-generated Spark and MapReduce logs through the
 * ``peak_open_sessions`` — maximum concurrently tracked sessions;
 * ``parity`` — whether streaming produced *identical* ``SessionReport``s
   to batch ``detect_job`` on the same records (asserted, must be exact);
+* ``match_per_record`` — Spell matches (``spell_index_hits_total``)
+  per record consumed; the live pass's matches are carried to session
+  close, so this is asserted to be exactly 1.0;
 * ``anomalies_by_kind`` / ``health`` / ``degraded_s`` / ``quarantined``
   — the resilience-layer counters, recorded so regressions in anomaly
   mix or unexpected degradation show up in the benchmark artifact;
 * a ``capped`` sub-run with the session cap set to a tenth of the
-  workload's container count, asserting peak stays under the cap.
+  workload's container count, asserting peak stays under the cap;
+* ``cpu_count`` and ``git_sha`` of the run, at the top level.
 
 Unlike the pytest-benchmark microbenches, this measures one realistic
 pass wall-clock (the runtime is stateful; repeated rounds would re-close
@@ -23,6 +27,7 @@ already-closed sessions).
 from __future__ import annotations
 
 import json
+import os
 import time
 
 from repro.parsing.records import split_sessions
@@ -33,7 +38,7 @@ from repro.stream import (
     TrackerConfig,
 )
 
-from bench_common import RESULTS_DIR, SCALE, write_result
+from bench_common import RESULTS_DIR, SCALE, git_sha, write_result
 
 REPLAY_JOBS = 3 * SCALE
 
@@ -54,18 +59,26 @@ def _run(model, records, **tracker_kwargs):
     start = time.perf_counter()
     stats = runtime.run(once=True)
     elapsed = time.perf_counter() - start
-    return sink, stats, elapsed
+    hits = runtime.registry.get("spell_index_hits_total")
+    matches = sum(value for _, value in hits.samples())
+    return sink, stats, elapsed, matches / max(stats.records, 1)
 
 
 def test_stream_throughput_and_parity(models, generators):
-    results = {"scale": SCALE, "replay_jobs": REPLAY_JOBS, "systems": {}}
+    results = {
+        "scale": SCALE,
+        "replay_jobs": REPLAY_JOBS,
+        "cpu_count": os.cpu_count() or 1,
+        "git_sha": git_sha(),
+        "systems": {},
+    }
     for system in ("spark", "mapreduce"):
         model = models[system]
         records = _replay_records(generators, system)
         batch = model.detect_job(split_sessions(records))
         expected = {s.session_id: s.to_dict() for s in batch.sessions}
 
-        sink, stats, elapsed = _run(
+        sink, stats, elapsed, match_per_record = _run(
             model, records, idle_timeout=1e12, max_open_sessions=10**9,
         )
         got = {r.session_id: r.to_dict() for r in sink.reports}
@@ -75,10 +88,15 @@ def test_stream_throughput_and_parity(models, generators):
             f"({len(got)} vs {len(expected)} sessions)"
         )
 
+        assert match_per_record == 1.0, (
+            f"{system}: {match_per_record} Spell matches per record "
+            f"(each record must be matched once)"
+        )
+
         # Bounded-memory run: 10x more containers than the cap allows.
         n_sessions = len(expected)
         cap = max(1, n_sessions // 10)
-        _, capped_stats, capped_elapsed = _run(
+        _, capped_stats, capped_elapsed, _ = _run(
             model, records,
             idle_timeout=1e12, max_open_sessions=cap, end_markers=(),
         )
@@ -102,6 +120,7 @@ def test_stream_throughput_and_parity(models, generators):
             "io_failures": stats.io_failures,
             "quarantined": stats.quarantined,
             "parity": parity,
+            "match_per_record": match_per_record,
             "capped": {
                 "cap": cap,
                 "peak_open_sessions": capped_stats.peak_open_sessions,

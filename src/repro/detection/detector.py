@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from ..extraction.idvalue import FieldRole
 from ..extraction.intelkey import IntelKey
@@ -130,22 +130,25 @@ class AnomalyDetector:
 
     # -- public API ---------------------------------------------------------------
 
-    def detect_session(self, session: Session) -> SessionReport:
-        """Consume one complete session and report its anomalies."""
-        return self._detect_one(session, None)
-
-    def _detect_one(
+    def detect_session(
         self,
         session: Session,
-        prematched: list["MatchResult | None"] | None,
+        matches: "Sequence[MatchResult | None] | None" = None,
     ) -> SessionReport:
+        """Consume one complete session and report its anomalies.
+
+        ``matches`` are the session's records already matched against
+        this detector's log keys, one per record in session order
+        (``None`` where no key matches); :meth:`detect_batch` and the
+        streaming detector pass them so no record is matched twice.
+        Without them the session's records are matched here in one
+        batch.  Matches made under another model must not be passed.
+        """
         tracer = self._tracer
         if tracer is None:
-            return self._detect_session_inner(session, None, prematched)
+            return self._detect_session_inner(session, None, matches)
         with tracer.span("detect.session"):
-            report = self._detect_session_inner(
-                session, tracer, prematched
-            )
+            report = self._detect_session_inner(session, tracer, matches)
         assert self._m_sessions and self._m_records and self._m_anomalies
         self._m_sessions.inc()
         self._m_records.inc(report.message_count)
@@ -153,11 +156,16 @@ class AnomalyDetector:
             self._m_anomalies.labels(kind=anomaly.kind.value).inc()
         return report
 
+    #: :meth:`detect_batch` calls the core through this name, so a
+    #: wrapper later installed on ``detect_session`` (a tracer counting
+    #: sessions, say) sees each batch session once, at ``detect_batch``.
+    _detect_core = detect_session
+
     def _detect_session_inner(
         self,
         session: Session,
         tracer: "Tracer | None",
-        prematched: list["MatchResult | None"] | None = None,
+        matches: "Sequence[MatchResult | None] | None",
     ) -> SessionReport:
         report = SessionReport(session_id=session.session_id)
         instance = HWGraphInstance(
@@ -166,16 +174,16 @@ class AnomalyDetector:
 
         # Records are matched in one batch up front (memoized per
         # distinct message), then the extraction/graph loop runs over
-        # the precomputed results; when the caller already batch-matched
-        # across sessions (:meth:`detect_batch`), its results are reused
-        # verbatim.  Match/extract phase times are accumulated across
-        # the loop and reported as two pre-measured spans rather than
-        # thousands of micro-spans.
+        # the precomputed results; matches the caller already made
+        # (:meth:`detect_batch` across sessions, the streaming detector
+        # at observe time) are reused verbatim.  Match/extract phase
+        # times are accumulated across the loop and reported as two
+        # pre-measured spans rather than thousands of micro-spans.
         timed = tracer is not None
-        records = list(session)
+        records = session.records
         match_s = 0.0
         extract_s = 0.0
-        if prematched is None:
+        if matches is None:
             if timed:
                 t0 = time.perf_counter()
             matches = self.spell.match_batch(
@@ -183,8 +191,11 @@ class AnomalyDetector:
             )
             if timed:
                 match_s = time.perf_counter() - t0
-        else:
-            matches = prematched
+        elif len(matches) != len(records):
+            raise ValueError(
+                f"session {session.session_id!r}: {len(matches)} matches "
+                f"for {len(records)} records"
+            )
         for record, match in zip(records, matches):
             report.message_count += 1
             if match is None:
@@ -280,7 +291,7 @@ class AnomalyDetector:
         for session, records in zip(sessions, records_by_session):
             session_matches = matches[pos:pos + len(records)]
             pos += len(records)
-            reports.append(self._detect_one(session, session_matches))
+            reports.append(self._detect_core(session, session_matches))
         return reports
 
     def detect_job(

@@ -482,15 +482,21 @@ class DetectionService:
                     and t.runtime.stats.health == "degraded"
                 ]
                 # Likewise a tenant waiting out a supervised backoff is
-                # *healing*, not done — sleep through the backoff so its
-                # restart (and replay) happens inside the drain.
+                # *healing*, not done — sleep until its restart is due so
+                # the restart (and replay) happens inside the drain.  A
+                # tenant mid-retry still gets polled every poll_interval.
                 healing = [
                     t for t in self._snapshot()
                     if t.quarantined is None
                     and self.supervisor.state(t.tenant_id) == BACKOFF
                 ]
                 if healing:
-                    self._sleep(self.config.poll_interval)
+                    wait = self.supervisor.next_due_in()
+                    if wait is None:
+                        wait = self.config.poll_interval
+                    if retrying:
+                        wait = min(wait, self.config.poll_interval)
+                    self._sleep(wait)
                     continue
                 if not retrying:
                     break

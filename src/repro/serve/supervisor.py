@@ -204,6 +204,17 @@ class TenantSupervisor:
                 and e.next_restart_at <= now
             )
 
+    def next_due_in(self) -> float | None:
+        """Seconds until the earliest BACKOFF restart is due (never
+        below 0), or ``None`` when no tenant is backing off."""
+        now = self._clock()
+        with self._lock:
+            due = [
+                e.next_restart_at for e in self._entries.values()
+                if e.state == BACKOFF and e.next_restart_at is not None
+            ]
+        return max(0.0, min(due) - now) if due else None
+
     # -- introspection -----------------------------------------------------
 
     def state(self, tenant_id: str) -> str:

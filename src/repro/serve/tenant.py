@@ -44,7 +44,6 @@ from ..core.fsio import REAL_FS, FileSystem
 from ..core.killpoints import kill_point
 from ..obs import MetricsRegistry
 from ..stream.checkpoint import default_checkpoint_path
-from ..stream.detector import StreamingDetector
 from ..stream.runtime import StreamRuntime
 from ..stream.sink import ReportSink
 from ..stream.source import LogSource
@@ -421,8 +420,10 @@ class Tenant:
         """Install a parked lease, if any.  Runs between quanta only.
 
         The runtime's source position and tracker state are untouched —
-        no record is lost — and the detector is replaced wholesale, so
-        every report is finalized entirely under one model version.
+        no record is lost — and the detector is replaced wholesale.  The
+        open sessions' observe-time matches are dropped with the old
+        model (see :meth:`StreamRuntime.swap_detector`), so every report
+        is finalized entirely under one model version.
 
         For checkpointed tenants the swap is journaled: a *swap intent*
         is written first, the checkpoint is rewritten under the new
@@ -462,9 +463,7 @@ class Tenant:
                 )
                 intent = None
             kill_point("swap.intent")
-        detector = lease.detector_view()
-        detector.instrument(self.registry)
-        self.runtime.detector = StreamingDetector(detector)
+        self.runtime.swap_detector(lease.detector_view())
         self.lease = lease
         self.swaps += 1
         old.release()
@@ -515,9 +514,12 @@ class Tenant:
     def _match_paths(self) -> dict[str, int]:
         """Per-tenant ``spell_index_hits_total`` by path (exact/lcs/miss).
 
-        Reads this tenant's private registry, so the counts describe
-        exactly this stream's traffic: a tenant whose ``lcs`` or
-        ``miss`` share grows is drifting away from its leased model.
+        Reads this tenant's private registry.  Each consumed record is
+        matched once, so the counts sum to the records consumed and
+        describe exactly this stream's traffic (sessions re-matched at
+        close after a checkpoint restore or a model swap add their
+        records again): a tenant whose ``lcs`` or ``miss`` share grows
+        is drifting away from its leased model.
         """
         metric = self.registry.get("spell_index_hits_total")
         if metric is None:

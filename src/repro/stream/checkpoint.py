@@ -93,10 +93,14 @@ def backup_checkpoint_path(path: str | Path) -> Path:
     return path.with_name(path.name + ".bak")
 
 
+def _digest(canonical: str) -> str:
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def _checksum(body: dict[str, Any]) -> str:
-    return hashlib.sha256(
-        json.dumps(body, sort_keys=True).encode("utf-8")
-    ).hexdigest()
+    """SHA-256 of the body (every field but ``checksum``) as sorted-key
+    JSON: the checksum definition every checkpoint version 2 carries."""
+    return _digest(json.dumps(body, sort_keys=True))
 
 
 @dataclass(slots=True)
@@ -119,8 +123,8 @@ class StreamCheckpoint:
 
     # -- JSON I/O ---------------------------------------------------------
 
-    def to_dict(self) -> dict[str, Any]:
-        body = {
+    def _body(self) -> dict[str, Any]:
+        return {
             "version": self.version,
             "source_position": self.source_position,
             "tracker_state": self.tracker_state,
@@ -128,10 +132,22 @@ class StreamCheckpoint:
             "finalized": list(self.finalized),
             "outbox": list(self.outbox),
         }
-        body["checksum"] = _checksum(
-            {k: v for k, v in body.items() if k != "checksum"}
-        )
+
+    def to_dict(self) -> dict[str, Any]:
+        body = self._body()
+        body["checksum"] = _checksum(body)
         return body
+
+    def to_json(self) -> str:
+        """The checkpoint file's text, encoded once.
+
+        The sorted-key JSON of the body is what the checksum hashes;
+        ``checksum`` sorts before every other field, so splicing it in
+        at the front gives ``json.dumps(self.to_dict(), sort_keys=True)``
+        without a second encode.
+        """
+        canonical = json.dumps(self._body(), sort_keys=True)
+        return f'{{"checksum": "{_digest(canonical)}", {canonical[1:]}'
 
     def save(
         self,
@@ -154,7 +170,7 @@ class StreamCheckpoint:
         fs = fs or REAL_FS
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
-        fs.write_text(tmp, json.dumps(self.to_dict()))
+        fs.write_text(tmp, self.to_json())
         if fsync:
             fs.fsync_file(tmp)
         kill_point("checkpoint.tmp")

@@ -13,13 +13,16 @@ profiles, and the streaming detector splits them accordingly:
   need the whole session — :meth:`StreamingDetector.finalize` runs them
   when the tracker closes a session.
 
-``finalize`` delegates to the batch
-:meth:`~repro.detection.detector.AnomalyDetector.detect_session` on the
-time-sorted closed session, which makes stream/batch report parity exact
-*by construction*: the same detector code produces the authoritative
-:class:`~repro.detection.report.SessionReport` in both modes.  The live
-pass costs one extra Spell match per record; the full §3 extraction for
-unexpected messages runs once, at finalize time.
+Each record is matched once.  The live pass's matches ride with the
+records in the tracker to session close, sorted with them, and
+``finalize`` hands them to the batch
+:meth:`~repro.detection.detector.AnomalyDetector.detect_session` with
+the time-sorted closed session.  Batch, partitioned and stream
+detection thus run the same match-then-check code, which makes
+stream/batch report parity exact *by construction*.  A session whose
+matches were dropped (restored from a checkpoint, or open across a
+model swap) is matched whole at close instead.  The full §3 extraction
+for unexpected messages runs once, at finalize time.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Sequence
 from ..detection.detector import AnomalyDetector
 from ..detection.report import SessionReport
 from ..parsing.records import LogRecord
+from ..parsing.spell import MatchResult
 from .tracker import ClosedSession
 
 __all__ = ["LiveAlert", "StreamingDetector"]
@@ -75,18 +79,23 @@ class StreamingDetector:
 
     def observe_batch(
         self, records: Sequence[LogRecord]
-    ) -> list[LiveAlert | None]:
+    ) -> tuple[list[LiveAlert | None], list[MatchResult | None]]:
         """Batched :meth:`observe`: one ``match_batch`` for the whole
         poll batch (duplicate messages match once), same per-record
         alerts.  The runtime's quantum pumps feed entire source batches
-        through here so the match cost amortizes across the batch."""
+        through here so the match cost amortizes across the batch.
+
+        Returns the alerts and the per-record matches; the runtime
+        carries the matches to :meth:`finalize` through the tracker.
+        """
         matches = self.detector.spell.match_batch(
             [record.message for record in records]
         )
-        return [
+        alerts = [
             None if match is not None else self._alert(record)
             for record, match in zip(records, matches)
         ]
+        return alerts, matches
 
     @staticmethod
     def _alert(record: LogRecord) -> LiveAlert:
@@ -99,5 +108,6 @@ class StreamingDetector:
         )
 
     def finalize(self, closed: ClosedSession) -> SessionReport:
-        """Full HW-graph-instance checks on a closed session."""
-        return self.detector.detect_session(closed.session)
+        """Full HW-graph-instance checks on a closed session, over the
+        matches carried from observe time when it has them."""
+        return self.detector.detect_session(closed.session, closed.matches)

@@ -4,13 +4,14 @@
 pipeline into an online service.  Each iteration pulls a batch of
 records from the :class:`~repro.stream.source.LogSource`, gives every
 record an immediate unexpected-message check
-(:class:`~repro.stream.detector.StreamingDetector.observe`), feeds it to
-the :class:`~repro.stream.tracker.SessionTracker`, and — whenever the
-tracker closes a session — finalizes the full HW-graph-instance checks
-and emits the :class:`~repro.detection.report.SessionReport` through the
-sink.  A checkpoint (source position + tracker state + counters +
-exactly-once ledger) is written after every batch that emitted reports,
-so restarts neither drop nor duplicate work.
+(:class:`~repro.stream.detector.StreamingDetector.observe`), feeds it
+with its match to the :class:`~repro.stream.tracker.SessionTracker`,
+and — whenever the tracker closes a session — finalizes the full
+HW-graph-instance checks over the carried matches and emits the
+:class:`~repro.detection.report.SessionReport` through the sink.  A
+checkpoint (source position + tracker state + counters + exactly-once
+ledger) is written after every batch that emitted reports, so restarts
+neither drop nor duplicate work.
 
 The runtime is built to outlive the failures it watches for:
 
@@ -692,6 +693,18 @@ class StreamRuntime:
                 )
         return self.stats
 
+    def swap_detector(self, detector: AnomalyDetector) -> None:
+        """Install another model's detector between cycles.
+
+        Source position and tracker state stay as they are.  The open
+        sessions' carried matches belong to the old model, so they are
+        dropped: each of those sessions is matched whole under the new
+        model at close, and every report is made under one model.
+        """
+        detector.instrument(self.registry)
+        self.detector = StreamingDetector(detector)
+        self.tracker.drop_matches()
+
     def force_evict(self, count: int) -> int:
         """Force-close ``count`` LRU sessions (global-budget pressure).
 
@@ -768,15 +781,15 @@ class StreamRuntime:
             self._emit_stats(self._loop_start)
 
     def _ingest_batch(self, batch) -> None:
-        alerts = self.detector.observe_batch(batch)
-        for record, alert in zip(batch, alerts):
+        alerts, matches = self.detector.observe_batch(batch)
+        for record, alert, match in zip(batch, alerts, matches):
             self._m_records.inc()
             self._run_consumed += 1
             if alert is not None:
                 self._m_live_alerts.inc()
                 if self.on_alert is not None:
                     self.on_alert(alert)
-            for closed in self.tracker.observe(record):
+            for closed in self.tracker.observe(record, match):
                 self._finalize(closed)
             if int(self._m_records.value) >= self._next_stats_at:
                 self._next_stats_at += self.stats_every

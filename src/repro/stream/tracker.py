@@ -15,9 +15,13 @@ The batch pipeline buffers every record and calls
   active session is **evicted** (closed early), keeping memory bounded
   no matter how many containers a job spawns.
 
-Closed sessions come back time-sorted, ready for detection.  The whole
-tracker state round-trips through ``state_dict()`` / ``load_state()``
-for checkpointing.
+Closed sessions come back time-sorted, ready for detection.  A record
+may arrive with the match the caller already made for it; the tracker
+keeps those matches beside the session's records, sorts them with the
+records at close, and hands them on in :attr:`ClosedSession.matches`,
+so detection need not match the session again.  The whole tracker state
+round-trips through ``state_dict()`` / ``load_state()`` for
+checkpointing; matches are not part of it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..parsing.records import LogRecord, Session, session_bucket
+from ..parsing.spell import MatchResult
 
 __all__ = [
     "DEFAULT_END_MARKERS",
@@ -72,12 +77,23 @@ class ClosedSession:
     #: time (see :func:`repro.stream.resilience.finalization_id`);
     #: carried through sinks so downstream consumers can dedupe.
     finalization_id: str = ""
+    #: One observe-time match per record, in the session's sorted
+    #: order; ``None`` when the session has to be matched whole.
+    matches: list[MatchResult | None] | None = None
+
+
+#: ``SessionTracker.observe``'s default ``match``: the record came
+#: without one (``None`` is a real result, "no log key matches").
+_UNSET: object = object()
 
 
 @dataclass(slots=True)
 class _Open:
     session: Session
     last_seen: float  # event time of the newest record
+    #: Matches parallel to ``session.records``; ``None`` once any
+    #: record arrived without one, or the session was restored.
+    matches: list[MatchResult | None] | None
 
 
 class SessionTracker:
@@ -95,8 +111,16 @@ class SessionTracker:
 
     # -- ingest -----------------------------------------------------------
 
-    def observe(self, record: LogRecord) -> list[ClosedSession]:
-        """Ingest one record; return any sessions this closed."""
+    def observe(
+        self, record: LogRecord, match: "MatchResult | None" = _UNSET
+    ) -> list[ClosedSession]:
+        """Ingest one record; return any sessions this closed.
+
+        ``match`` is the record's match against the model's log keys
+        (``None``: no key matches).  It is carried to the session's
+        :class:`ClosedSession`; a session with a record observed
+        without one carries no matches.
+        """
         closed: list[ClosedSession] = []
         key, sid = session_bucket(record)
         entry = self._open.get(key)
@@ -104,9 +128,14 @@ class SessionTracker:
             entry = _Open(
                 session=Session(session_id=sid, app_id=record.app_id),
                 last_seen=record.timestamp,
+                matches=[],
             )
             self._open[key] = entry
         entry.session.append(record)
+        if match is _UNSET:
+            entry.matches = None
+        elif entry.matches is not None:
+            entry.matches.append(match)
         entry.last_seen = max(entry.last_seen, record.timestamp)
         self._open.move_to_end(key)
         self.watermark = max(self.watermark, record.timestamp)
@@ -147,6 +176,15 @@ class SessionTracker:
             closed.append(self._close(entry, "evicted"))
         return closed
 
+    def drop_matches(self) -> None:
+        """Forget the carried matches of every open session.
+
+        Matches are valid only for the model that made them; after a
+        model swap each open session is matched whole at close.
+        """
+        for entry in self._open.values():
+            entry.matches = None
+
     @property
     def open_count(self) -> int:
         return len(self._open)
@@ -178,8 +216,19 @@ class SessionTracker:
 
     @staticmethod
     def _close(entry: _Open, reason: str) -> ClosedSession:
-        entry.session.sort()
-        return ClosedSession(session=entry.session, reason=reason)
+        session, matches = entry.session, entry.matches
+        if matches is None:
+            session.sort()
+        else:
+            # The stable timestamp sort Session.sort() does, applied to
+            # (record, match) pairs so both lists get one permutation.
+            pairs = sorted(
+                zip(session.records, matches),
+                key=lambda pair: pair[0].timestamp,
+            )
+            session.records = [record for record, _ in pairs]
+            matches = [match for _, match in pairs]
+        return ClosedSession(session=session, reason=reason, matches=matches)
 
     # -- checkpoint state -------------------------------------------------
 
@@ -226,6 +275,7 @@ class SessionTracker:
             self._open[key] = _Open(
                 session=session,
                 last_seen=float(item["last_seen"]),
+                matches=None,
             )
 
 

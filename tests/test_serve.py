@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import IntelLog
+from repro import IntelLog, split_sessions
 from repro.core import ServeConfig
 from repro.obs import MetricsRegistry, MetricsServer
 from repro.parsing.records import LogRecord
@@ -252,6 +252,15 @@ class TestMultiTenantParity:
         assert stats["cold_loads"] == 1  # one deserialization for 3 tenants
         assert stats["warm_models"] == 1  # parked for the next attach
 
+    def test_match_paths_count_each_record_once(self, registry):
+        svc, _ = self._serve(registry, workers=0)
+        svc.drain()
+        for tid in self.SEEDS:
+            status = svc.tenant(tid).status()
+            assert status["records"] > 0
+            assert sum(status["match_paths"].values()) == status["records"]
+        svc.close()
+
     def test_threaded_sweeps_match_inline(self, registry):
         inline_svc, inline_sinks = self._serve(registry, workers=0)
         inline_svc.drain()
@@ -404,6 +413,46 @@ class TestAtomicSwap:
             fids = sinks[tid].emitted_ids()
             assert len(fids) == len(set(fids))
             assert len(fids) == len(sinks[tid].reports)
+        svc.close()
+
+    def test_session_open_across_swap_is_matched_under_new_model(
+        self, tmp_path, spark_store, mr_model
+    ):
+        """Observe-time matches belong to the model that made them: a
+        session open across the swap reports exactly what the new
+        model's ``detect_session`` gives on the whole session.  The new
+        model is trained on other traffic, so its log keys differ."""
+        reg = ModelRegistry(tmp_path / "reg")
+        reg.publish(spark_store, "spark-prod")
+        svc = DetectionService(reg, ServeConfig(workers=0, quantum=25))
+        records = spark_records(11)
+        sink = ListSink()
+        svc.attach(
+            TenantSpec(tenant_id="t", model="spark-prod", **UNBOUNDED),
+            source=IterableSource(list(records)),
+            sink=sink,
+        )
+        for _ in range(4):
+            assert svc.cycle() > 0
+        tenant = svc.tenant("t")
+        open_at_swap = {
+            item["session_id"]
+            for item in tenant.runtime.tracker.state_dict()["open"]
+        }
+        assert open_at_swap
+        old_model = tenant.lease.detector_view()
+        reg.publish(ModelStore.from_intellog(mr_model), "spark-prod")
+        svc.swap("t")
+        svc.drain()
+        assert tenant.swaps == 1
+
+        new_model = tenant.lease.detector_view()
+        whole = {s.session_id: s for s in split_sessions(records)}
+        got = {r.session_id: r.to_dict() for r in sink.reports}
+        for sid in open_at_swap:
+            expected = new_model.detect_session(whole[sid]).to_dict()
+            assert got[sid] == expected
+            assert expected != old_model.detect_session(whole[sid]).to_dict()
         svc.close()
 
     def test_swap_to_unknown_version_changes_nothing(self, registry):

@@ -1,16 +1,24 @@
 """Tests for the online streaming runtime (``repro.stream``).
 
-Covers the ISSUE checklist: batch-vs-stream report parity on seeded
-simulator logs, out-of-order timestamps within a session, idle-timeout
-vs. end-marker closure, LRU eviction under the session cap, and the
-checkpoint/resume round-trip — plus the file-follower source and the
-``split_sessions`` default-bucket regression.
+Covers batch-vs-stream report parity on seeded simulator logs,
+out-of-order timestamps within a session, idle-timeout vs. end-marker
+closure, LRU eviction under the session cap, and the checkpoint/resume
+round-trip — plus the file-follower source, the ``split_sessions``
+default-bucket regression, and the observe-time matches the tracker
+carries to session close (each record matched once).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import IntelLog, split_sessions
 from repro.parsing.records import LogRecord, session_bucket
@@ -421,3 +429,221 @@ class TestModelAccessor:
         )
         runtime.run(once=True)
         assert sink.reports
+
+
+def report_bytes(reports) -> dict[str, bytes]:
+    return {
+        r.session_id: json.dumps(r.to_dict(), sort_keys=True).encode()
+        for r in reports
+    }
+
+
+#: A checkpoint written by the previous ``StreamCheckpoint.save``
+#: (insertion-order keys, ``checksum`` last): the Spark stream of
+#: ``WorkloadGenerator(seed=PARENT_CKPT_SEED).run_batch("spark", 1)``,
+#: time-sorted, paused after ``PARENT_CKPT_PAUSE`` records under the
+#: ``UNBOUNDED`` tracker with the default end markers.
+PARENT_CKPT = Path(__file__).parent / "fixtures" / "stream_ckpt_v2_spark.json"
+PARENT_CKPT_SEED = 41
+PARENT_CKPT_PAUSE = 120
+
+
+def single_job_records(seed: int) -> list[LogRecord]:
+    records = list(WorkloadGenerator(seed=seed).run_batch("spark", 1)[0]
+                   .records)
+    records.sort(key=lambda r: r.timestamp)
+    return records
+
+
+class _FakeMatch:
+    """Stand-in match: the tracker never looks inside one."""
+
+    def __init__(self, tag: str) -> None:
+        self.tag = tag
+
+
+class TestCarriedMatches:
+    """Observe-time matches ride with their records to session close."""
+
+    def test_matches_follow_records_through_the_close_sort(self):
+        tracker = SessionTracker(TrackerConfig(**UNBOUNDED))
+        arrivals = [(3, "c"), (1, "a"), (3, "d"), (2, "b"), (1, "a2")]
+        for ts, tag in arrivals:
+            tracker.observe(
+                record(ts, f"msg {tag}", sid="s"),
+                None if tag == "b" else _FakeMatch(tag),
+            )
+        [closed] = tracker.flush()
+        # Stable by timestamp: ties keep arrival order, exactly as
+        # Session.sort() orders the records.
+        assert [r.message for r in closed.session.records] == [
+            "msg a", "msg a2", "msg b", "msg c", "msg d",
+        ]
+        assert [m and m.tag for m in closed.matches] == [
+            "a", "a2", None, "c", "d",
+        ]
+
+    def test_a_record_without_a_match_drops_the_sessions_matches(self):
+        tracker = SessionTracker(TrackerConfig(**UNBOUNDED))
+        tracker.observe(record(1, "one", sid="s"), _FakeMatch("one"))
+        tracker.observe(record(2, "two", sid="s"))
+        tracker.observe(record(3, "three", sid="s"), _FakeMatch("three"))
+        tracker.observe(record(1, "x", sid="t"), _FakeMatch("x"))
+        closed = {c.session.session_id: c for c in tracker.flush()}
+        assert closed["s"].matches is None
+        assert [m.tag for m in closed["t"].matches] == ["x"]
+
+    def test_drop_matches_and_restore_carry_none(self):
+        tracker = SessionTracker(TrackerConfig(**UNBOUNDED))
+        tracker.observe(record(1, "one", sid="s"), _FakeMatch("one"))
+        restored = SessionTracker(TrackerConfig(**UNBOUNDED))
+        restored.load_state(tracker.state_dict())
+        tracker.drop_matches()
+        tracker.observe(record(2, "two", sid="s"), _FakeMatch("two"))
+        assert tracker.flush()[0].matches is None
+        [closed] = restored.flush()
+        assert closed.matches is None
+        assert [r.message for r in closed.session.records] == ["one"]
+
+    def test_detect_session_with_matches_equals_matching_it(
+        self, spark_model, detection_records
+    ):
+        detector = spark_model.detector()
+        for session in split_sessions(detection_records)[:5]:
+            matches = detector.spell.match_batch(
+                [r.message for r in session.records]
+            )
+            assert detector.detect_session(session, matches).to_dict() == \
+                detector.detect_session(session).to_dict()
+        with pytest.raises(ValueError, match="matches for"):
+            detector.detect_session(session, matches[:-1])
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_interleaved_stream_equals_batch(
+        self, spark_model, detection_records, data
+    ):
+        """Any interleaving of sessions, with equal and out-of-order
+        timestamps, unknown messages and small poll batches, reports
+        exactly what batch ``detect_job`` reports."""
+        pool = split_sessions(detection_records)
+        picks = data.draw(
+            st.lists(st.sampled_from(range(len(pool))), min_size=1,
+                     max_size=4, unique=True),
+            label="sessions",
+        )
+        stream: list[LogRecord] = []
+        for index in picks:
+            source = pool[index].records
+            length = data.draw(st.integers(1, min(40, len(source))))
+            for rec in source[:length]:
+                # A coarse clock makes ties common.
+                tick = data.draw(st.integers(0, 12))
+                stream.append(dataclasses.replace(rec, timestamp=float(tick)))
+            unknown = data.draw(st.integers(0, 2))
+            stream.extend(
+                dataclasses.replace(
+                    source[0], timestamp=float(k),
+                    message=f"quantum flux inverter {k} misaligned",
+                )
+                for k in range(unknown)
+            )
+        stream = data.draw(st.permutations(stream), label="arrival order")
+        poll_batch = data.draw(st.integers(1, 7), label="poll_batch")
+
+        sink = ListSink()
+        runtime = StreamRuntime(
+            spark_model, IterableSource(stream), sink=sink,
+            tracker=TrackerConfig(**UNBOUNDED), poll_batch=poll_batch,
+        )
+        runtime.run(once=True)
+        batch = spark_model.detect_job(split_sessions(stream))
+        assert reports_by_session(sink.reports) == reports_by_session(
+            batch.sessions
+        )
+
+    def test_each_record_is_matched_once(self, spark_model,
+                                         detection_records):
+        runtime = StreamRuntime(
+            spark_model, IterableSource(detection_records),
+            tracker=TrackerConfig(**UNBOUNDED), poll_batch=37,
+        )
+        stats = runtime.run(once=True)
+        hits = runtime.registry.get("spell_index_hits_total")
+        matched = sum(value for _, value in hits.samples())
+        assert stats.reports > 0
+        assert matched == stats.records == len(detection_records)
+
+    @pytest.mark.parametrize("pause", [1, 150, 401])
+    def test_restored_sessions_are_byte_identical_to_uninterrupted_run(
+        self, spark_model, detection_records, tmp_path, pause
+    ):
+        """Sessions restored from a checkpoint carry no matches and are
+        matched whole at close — with the same bytes as a run that was
+        never interrupted."""
+        tracker = dict(idle_timeout=1e12, max_open_sessions=10**9)
+        whole = ListSink()
+        StreamRuntime(
+            spark_model, IterableSource(detection_records), sink=whole,
+            tracker=TrackerConfig(**tracker),
+        ).run(once=True)
+
+        ckpt = tmp_path / "ckpt.json"
+        first_sink = ListSink()
+        first = StreamRuntime(
+            spark_model, IterableSource(detection_records),
+            sink=first_sink, tracker=TrackerConfig(**tracker),
+            checkpoint_path=ckpt,
+        )
+        first.run(once=True, max_records=pause)
+        restored = {
+            item["session_id"]
+            for item in first.tracker.state_dict()["open"]
+        }
+        assert restored
+        second_sink = ListSink()
+        second = StreamRuntime(
+            spark_model, IterableSource(detection_records),
+            sink=second_sink, tracker=TrackerConfig(**tracker),
+            checkpoint_path=ckpt,
+        )
+        assert second.resumed
+        second.run(once=True)
+
+        expected = report_bytes(whole.reports)
+        resumed = report_bytes(second_sink.reports)
+        assert restored <= set(resumed)
+        assert report_bytes(first_sink.reports + second_sink.reports) == \
+            expected
+
+    def test_checkpoint_written_by_the_previous_save_resumes(
+        self, spark_model, tmp_path
+    ):
+        records = single_job_records(PARENT_CKPT_SEED)
+        tracker = dict(idle_timeout=1e12, max_open_sessions=10**9)
+        whole = ListSink()
+        StreamRuntime(
+            spark_model, IterableSource(records), sink=whole,
+            tracker=TrackerConfig(**tracker),
+        ).run(once=True)
+        # What this code emits before the same pause point.
+        before = ListSink()
+        StreamRuntime(
+            spark_model, IterableSource(records), sink=before,
+            tracker=TrackerConfig(**tracker),
+            checkpoint_path=tmp_path / "fresh.json",
+        ).run(once=True, max_records=PARENT_CKPT_PAUSE)
+
+        ckpt = tmp_path / "parent.json"
+        shutil.copy(PARENT_CKPT, ckpt)
+        sink = ListSink()
+        runtime = StreamRuntime(
+            spark_model, IterableSource(records), sink=sink,
+            tracker=TrackerConfig(**tracker), checkpoint_path=ckpt,
+        )
+        assert runtime.resumed and runtime.resume_origin == "checkpoint"
+        stats = runtime.run(once=True)
+        assert stats.records == len(records)
+        assert sink.reports
+        assert report_bytes(before.reports + sink.reports) == \
+            report_bytes(whole.reports)

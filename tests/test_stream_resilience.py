@@ -339,6 +339,25 @@ class TestCheckpointRecovery:
         with pytest.raises(CheckpointCorruptError, match="checksum"):
             StreamCheckpoint.load(path)
 
+    def test_saved_text_is_the_sorted_checksummed_dict(self, tmp_path):
+        """``save`` encodes once: the file is the sorted-key JSON of
+        ``to_dict()``, and its checksum is still the body's hash."""
+        path = tmp_path / "ckpt.json"
+        checkpoint = _make_checkpoint(5)
+        checkpoint.save(path)
+        text = path.read_text()
+        assert text == json.dumps(checkpoint.to_dict(), sort_keys=True)
+        assert text == checkpoint.to_json()
+        assert StreamCheckpoint.load(path) == checkpoint
+
+    def test_previous_save_format_still_loads(self, tmp_path):
+        """The previous ``save`` wrote ``json.dumps(to_dict())``:
+        insertion-order keys with the checksum last."""
+        path = tmp_path / "ckpt.json"
+        checkpoint = _make_checkpoint(7)
+        path.write_text(json.dumps(checkpoint.to_dict()))
+        assert StreamCheckpoint.load(path) == checkpoint
+
     def test_shape_mismatch_raises_typed_error(self):
         with pytest.raises(CheckpointCorruptError, match="tracker_state"):
             StreamCheckpoint.from_dict(

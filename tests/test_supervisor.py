@@ -206,6 +206,23 @@ class TestSupervisorPolicy:
         clock.advance(1.0)
         assert sup.record_failure("t1", "x") == QUARANTINED
 
+    def test_next_due_in_is_the_earliest_backoff(self):
+        clock = FakeClock()
+        sup = TenantSupervisor(
+            SupervisorConfig(backoff_base=2.0, backoff_jitter=0.0),
+            clock=clock,
+        )
+        assert sup.next_due_in() is None
+        sup.record_failure("a", "x")
+        clock.advance(0.5)
+        sup.record_failure("b", "x")
+        assert sup.next_due_in() == pytest.approx(1.5)
+        clock.advance(10.0)
+        assert sup.next_due_in() == 0.0  # overdue, never negative
+        sup.record_restart("a")
+        sup.record_restart("b")
+        assert sup.next_due_in() is None
+
     def test_forget_drops_all_state(self):
         sup = TenantSupervisor(SupervisorConfig(), clock=FakeClock())
         sup.record_failure("t1", "x")
@@ -254,6 +271,47 @@ class TestServiceSelfHealing:
         assert sup["restarts"] == 1
         events = [e["event"] for e in sup["restart_history"]]
         assert events == ["backoff", "restart"]
+
+    def test_drain_sleeps_until_the_restart_is_due(self, registry):
+        """One backoff costs the drain at most two sleeps, not one per
+        ``poll_interval`` (here that would be 2.0 / 0.01 = 200)."""
+        clock = FakeClock()
+        sleeps: list[float] = []
+
+        def sleep(seconds: float) -> None:
+            sleeps.append(seconds)
+            clock.advance(seconds)
+
+        svc = DetectionService(
+            registry,
+            ServeConfig(workers=0, quantum=64, poll_interval=0.01),
+            supervisor=TenantSupervisor(
+                SupervisorConfig(backoff_base=2.0, backoff_jitter=0.0),
+                clock=clock,
+            ),
+            clock=clock,
+            sleep=sleep,
+        )
+        records = spark_records(55)
+        sink = ListSink()
+        svc.attach(
+            TenantSpec(tenant_id="flaky", model="spark-prod", **UNBOUNDED),
+            source=FlakySource(records, failures=1),
+            sink=sink,
+        )
+        svc.drain()
+        assert 1 <= len(sleeps) <= 2
+        assert sum(sleeps) == pytest.approx(2.0)
+        tenant = svc.tenant("flaky")
+        assert tenant.restarts == 1
+        assert tenant.failure is None
+        assert svc.supervisor.state("flaky") == RUNNING
+        assert {r.session_id for r in sink.reports} == {
+            r.session_id for r in records
+        }
+        fids = sink.emitted_ids()
+        assert len(fids) == len(set(fids))
+        svc.close()
 
     def test_budget_exhaustion_lands_in_quarantine_with_traceback(
         self, registry
