@@ -377,6 +377,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         global_session_budget=args.budget,
         quantum=args.quantum,
+        ingest_batch=args.quantum,
         queue_capacity=args.queue_capacity,
         poll_interval=args.poll_interval,
     )
@@ -709,7 +710,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "tenants (default 100000)")
     serve.add_argument("--quantum", type=int, default=512,
                        help="max records per tenant per scheduling "
-                            "turn (default 512)")
+                            "turn, and per ingest-queue refill "
+                            "(default 512)")
     serve.add_argument("--queue-capacity", type=int, default=8192,
                        help="per-tenant ingest queue bound; overflow "
                             "sheds oldest (default 8192)")

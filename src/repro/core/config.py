@@ -165,12 +165,20 @@ class ServeConfig:
     LRU sessions from the largest tenants first until back under it.
     ``workers=0`` runs the scheduler inline (deterministic round-robin,
     used by tests and ``--drain`` batch runs).
+
+    ``ingest_batch`` should equal ``quantum``.  A tenant's queue refills
+    only when it holds fewer records than a quantum asks for, so with
+    the two equal a refill pulls exactly what the pump hands on, the
+    queue is empty after every quantum, and checkpoints carry no queued
+    records.  A larger ``ingest_batch`` parks the surplus in the queue,
+    and every checkpoint re-encodes it until it is consumed.
     """
 
     #: Max records one tenant consumes per scheduling quantum.
     quantum: int = 512
-    #: Records pulled from a tenant's underlying source per refill.
-    ingest_batch: int = 1024
+    #: Records pulled from a tenant's underlying source per refill
+    #: (keep equal to ``quantum``; see above).
+    ingest_batch: int = 512
     #: Per-tenant bounded ingest queue (shed-oldest above this).
     queue_capacity: int = 8192
     #: Cap on open sessions summed across every tenant.

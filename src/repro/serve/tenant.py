@@ -134,7 +134,12 @@ class BoundedQueueSource:
 
     The queue participates in checkpoints: ``position()`` embeds the
     inner source's position plus every queued-but-unprocessed record,
-    so a restart neither drops nor re-reads them.  Inner-source
+    so a restart neither drops nor re-reads them.  Every save re-encodes
+    those records, so the service sizes ``ingest_batch`` to its quantum
+    (``ServeConfig``): each refill is then handed on whole by the poll
+    that made it, and a checkpoint between quanta carries ``"queued":
+    []``.  A larger ``ingest_batch`` still works; it only parks the
+    surplus in the queue (and in checkpoints).  Inner-source
     ``OSError``s propagate to the runtime's retry/breaker machinery
     untouched.  Single-threaded per tenant by construction (the service
     never pumps one tenant from two workers), so no locking here.
@@ -166,10 +171,11 @@ class BoundedQueueSource:
 
     def poll(self, max_records: int) -> list:
         self._refill(max_records)
-        out = []
-        while self._queue and len(out) < max_records:
-            out.append(self._queue.popleft())
-        return out
+        if len(self._queue) <= max_records:
+            out = list(self._queue)
+            self._queue.clear()
+            return out
+        return [self._queue.popleft() for _ in range(max_records)]
 
     def flush_pending(self) -> list:
         flush = getattr(self.inner, "flush_pending", None)
@@ -178,9 +184,8 @@ class BoundedQueueSource:
         batch = flush()
         if batch:
             self._queue.extend(batch)
-            out = []
-            while self._queue:
-                out.append(self._queue.popleft())
+            out = list(self._queue)
+            self._queue.clear()
             return out
         return []
 
@@ -257,7 +262,7 @@ class Tenant:
         sink: ReportSink,
         checkpoint_dir: str | Path | None = None,
         queue_capacity: int = 8192,
-        ingest_batch: int = 1024,
+        ingest_batch: int = 512,
         resilience: "ResilienceConfig | None" = None,
         durability: "DurabilityConfig | None" = None,
         fs: FileSystem | None = None,

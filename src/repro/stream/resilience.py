@@ -320,13 +320,13 @@ def finalization_id(session: Session) -> str:
     (only possible when the input itself was duplicated wholesale)
     deliberately share an id and dedupe.
     """
-    digest = hashlib.sha256()
-    digest.update(session.session_id.encode("utf-8", "replace"))
-    digest.update(b"\x00")
-    digest.update(session.app_id.encode("utf-8", "replace"))
-    for record in session.records:
-        digest.update(b"\x00")
-        digest.update(repr(record.timestamp).encode("ascii", "replace"))
-        digest.update(b"\x1f")
-        digest.update(record.message.encode("utf-8", "replace"))
-    return digest.hexdigest()[:20]
+    # One buffer, one hash call: ``sid \0 app (\0 repr(ts) \x1f msg)*``.
+    # Ledgers already on disk hold these digests, so the bytes hashed
+    # must not change: encoding the joined text equals joining the
+    # encoded parts, since a float's repr is ASCII.
+    text = "\x00".join([
+        session.session_id,
+        session.app_id,
+        *[f"{r.timestamp!r}\x1f{r.message}" for r in session.records],
+    ])
+    return hashlib.sha256(text.encode("utf-8", "replace")).hexdigest()[:20]

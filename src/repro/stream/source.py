@@ -197,14 +197,21 @@ class FileFollowSource:
             return out
         with fp:
             self._detect_regression(fp, out)
-            fp.seek(self._offset)
-            while len(out) < max_records:
-                line_start = fp.tell()
-                raw = fp.readline()
-                if not raw.endswith(b"\n"):
+            if len(out) >= max_records:
+                return out
+            # Each line starts where the previous one ended, so the
+            # offset advances by the line's length.
+            offset = self._offset
+            fp.seek(offset)
+            for raw in fp:
+                if raw[-1:] != b"\n":
                     break  # partial line still being written
-                self._offset = fp.tell()
+                line_start = offset
+                offset += len(raw)
+                self._offset = offset
                 self._consume_line(raw, line_start, out)
+                if len(out) >= max_records:
+                    break
         return out
 
     def _detect_regression(self, fp, out: list[LogRecord]) -> None:

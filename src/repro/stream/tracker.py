@@ -15,6 +15,11 @@ The batch pipeline buffers every record and calls
   active session is **evicted** (closed early), keeping memory bounded
   no matter how many containers a job spawns.
 
+Per record the tracker does O(1) bookkeeping: the end markers are one
+compiled alternation searched once, and the idle scan over the open
+sessions runs only when the idle horizon reaches a kept lower bound on
+their ``last_seen``, so each scan closes a session or raises the bound.
+
 Closed sessions come back time-sorted, ready for detection.  A record
 may arrive with the match the caller already made for it; the tracker
 keeps those matches beside the session's records, sorts them with the
@@ -29,12 +34,14 @@ from __future__ import annotations
 import re
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Callable
 
 from ..parsing.records import LogRecord, Session, session_bucket
 from ..parsing.spell import MatchResult
 
 __all__ = [
     "DEFAULT_END_MARKERS",
+    "end_marker_search",
     "TrackerConfig",
     "ClosedSession",
     "SessionTracker",
@@ -53,6 +60,28 @@ DEFAULT_END_MARKERS = (
     r"TezChild shutdown invoked",          # Tez task containers
     r"Calling stop for all the services",  # Tez DAGAppMaster
 )
+
+
+def end_marker_search(patterns: tuple[str, ...]) -> Callable[[str], object]:
+    """One search over all end markers, truthy iff any pattern matches.
+
+    The markers become a single ``(?:p1)|(?:p2)|…`` alternation when no
+    pattern has capturing groups (their numbers and names would shift
+    or clash across branches) or inline global flags (past the start of
+    an expression Python 3.11 rejects them and older versions apply
+    them to every branch).  Any other marker set is searched pattern by
+    pattern, as one ``re.search`` each.
+    """
+    compiled = [re.compile(p) for p in patterns]
+    if not compiled:
+        return lambda message: None
+    default_flags = re.compile("").flags
+    if all(c.groups == 0 and c.flags == default_flags for c in compiled):
+        try:
+            return re.compile("|".join(f"(?:{p})" for p in patterns)).search
+        except re.error:
+            pass  # a no-op inline flag such as "(?u)" (Python >= 3.11)
+    return lambda message: any(c.search(message) for c in compiled)
 
 
 @dataclass(slots=True)
@@ -97,15 +126,22 @@ class _Open:
 
 
 class SessionTracker:
-    """State machine turning a record stream into closed sessions."""
+    """State machine turning a record stream into closed sessions.
+
+    ``_low`` is a lower bound on every open session's ``last_seen``
+    (``inf`` when none is open): no session can be idle while the idle
+    horizon ``watermark - idle_timeout`` is below it, so
+    :meth:`observe` scans the open sessions only once the horizon
+    reaches it, and each scan recomputes it.  Sessions only ever leave
+    or grow newer, so the bound stays valid in between.
+    """
 
     def __init__(self, config: TrackerConfig | None = None) -> None:
         self.config = config or TrackerConfig()
         self._open: OrderedDict[tuple[str, str], _Open] = OrderedDict()
-        self._markers = [
-            re.compile(p) for p in self.config.end_markers
-        ]
+        self._is_end = end_marker_search(self.config.end_markers)
         self.watermark = float("-inf")  # newest event time seen
+        self._low = float("inf")  # <= every open session's last_seen
         self.evictions = 0
         self.peak_open = 0
 
@@ -122,33 +158,43 @@ class SessionTracker:
         without one carries no matches.
         """
         closed: list[ClosedSession] = []
+        timestamp = record.timestamp
         key, sid = session_bucket(record)
         entry = self._open.get(key)
         if entry is None:
             entry = _Open(
                 session=Session(session_id=sid, app_id=record.app_id),
-                last_seen=record.timestamp,
+                last_seen=timestamp,
                 matches=[],
             )
             self._open[key] = entry
+            if timestamp < self._low:
+                self._low = timestamp
+        else:
+            if timestamp > entry.last_seen:
+                entry.last_seen = timestamp
+            self._open.move_to_end(key)
         entry.session.append(record)
         if match is _UNSET:
             entry.matches = None
         elif entry.matches is not None:
             entry.matches.append(match)
-        entry.last_seen = max(entry.last_seen, record.timestamp)
-        self._open.move_to_end(key)
-        self.watermark = max(self.watermark, record.timestamp)
+        if timestamp > self.watermark:
+            self.watermark = timestamp
 
-        if any(m.search(record.message) for m in self._markers):
+        if self._is_end(record.message):
             del self._open[key]
             closed.append(self._close(entry, "end_marker"))
 
-        closed.extend(self._expire_idle())
-        closed.extend(self._evict_over_cap())
+        horizon = self.watermark - self.config.idle_timeout
+        if horizon >= self._low:
+            self._expire_idle(horizon, closed)
+        if len(self._open) > self.config.max_open_sessions:
+            self._evict_over_cap(closed)
         # Peak is recorded post-eviction: the cap is a hard bound on
         # tracked sessions, so peak_open never exceeds it.
-        self.peak_open = max(self.peak_open, len(self._open))
+        if len(self._open) > self.peak_open:
+            self.peak_open = len(self._open)
         return closed
 
     def flush(self) -> list[ClosedSession]:
@@ -157,6 +203,7 @@ class SessionTracker:
             self._close(entry, "flush") for entry in self._open.values()
         ]
         self._open.clear()
+        self._low = float("inf")
         return closed
 
     def evict_lru(self, count: int) -> list[ClosedSession]:
@@ -191,28 +238,26 @@ class SessionTracker:
 
     # -- closure policies -------------------------------------------------
 
-    def _expire_idle(self) -> list[ClosedSession]:
+    def _expire_idle(self, horizon: float, closed: list) -> None:
         # LRU order ≠ event-time order when records arrive out of order
         # across sessions, so scan for expired entries rather than only
-        # popping from the front.
-        horizon = self.watermark - self.config.idle_timeout
-        expired = [
-            key for key, entry in self._open.items()
-            if entry.last_seen <= horizon
-        ]
-        closed = []
+        # popping from the front; the survivors give the new bound.
+        expired = []
+        low = float("inf")
+        for key, entry in self._open.items():
+            if entry.last_seen <= horizon:
+                expired.append(key)
+            elif entry.last_seen < low:
+                low = entry.last_seen
+        self._low = low
         for key in expired:
-            entry = self._open.pop(key)
-            closed.append(self._close(entry, "idle"))
-        return closed
+            closed.append(self._close(self._open.pop(key), "idle"))
 
-    def _evict_over_cap(self) -> list[ClosedSession]:
-        closed = []
+    def _evict_over_cap(self, closed: list) -> None:
         while len(self._open) > self.config.max_open_sessions:
             _, entry = self._open.popitem(last=False)
             self.evictions += 1
             closed.append(self._close(entry, "evicted"))
-        return closed
 
     @staticmethod
     def _close(entry: _Open, reason: str) -> ClosedSession:
@@ -277,6 +322,10 @@ class SessionTracker:
                 last_seen=float(item["last_seen"]),
                 matches=None,
             )
+        self._low = float("inf")
+        for entry in self._open.values():
+            if entry.last_seen < self._low:
+                self._low = entry.last_seen
 
 
 def _record_to_dict(record: LogRecord) -> dict:

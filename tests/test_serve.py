@@ -43,7 +43,7 @@ from repro.stream import (
     TrackerConfig,
     tenant_checkpoint_name,
 )
-from repro.stream.checkpoint import default_checkpoint_path
+from repro.stream.checkpoint import StreamCheckpoint, default_checkpoint_path
 
 #: Tracker settings that never close early — for exact-parity tests
 #: (mirrors ``tests/test_stream.py``; end markers stay at their default
@@ -599,6 +599,80 @@ class TestRestartResume:
             r.session_id for r in sink2.reports
         }
         assert reported == {r.session_id for r in records}
+
+
+    def test_default_config_checkpoints_carry_no_queued_records(
+        self, tmp_path, registry, monkeypatch
+    ):
+        records = spark_records(61, jobs=8)
+        config = ServeConfig(workers=0)
+        assert len(records) > 3 * config.quantum
+        saved = []
+        save = StreamCheckpoint.save
+
+        def spy(self, *args, **kwargs):
+            saved.append(self.source_position)
+            return save(self, *args, **kwargs)
+
+        monkeypatch.setattr(StreamCheckpoint, "save", spy)
+        service = DetectionService(
+            registry, config, checkpoint_dir=tmp_path / "ckpt"
+        )
+        service.attach(
+            TenantSpec(tenant_id="t", model="spark-prod", **UNBOUNDED),
+            source=IterableSource(records), sink=ListSink(),
+        )
+        service.drain()
+        service.close()
+        assert len(saved) > 3
+        assert all(
+            p["kind"] == "bounded_queue" and p["queued"] == []
+            for p in saved
+        )
+
+    def test_checkpoint_with_queued_records_resumes_exactly_once(
+        self, tmp_path, registry
+    ):
+        """A checkpoint taken with records parked in the queue (an
+        ``ingest_batch`` above the quantum) resumes under the default
+        config with no report lost or repeated."""
+        records = spark_records(62, jobs=8)
+        spec = TenantSpec(
+            tenant_id="t", model="spark-prod", **UNBOUNDED
+        )
+        whole = ListSink()
+        reference = DetectionService(registry, ServeConfig(workers=0))
+        reference.attach(spec, source=IterableSource(records), sink=whole)
+        reference.drain()
+        reference.close()
+
+        ckpt_dir = tmp_path / "ckpt"
+        first = DetectionService(
+            registry, ServeConfig(workers=0, ingest_batch=1024),
+            checkpoint_dir=ckpt_dir,
+        )
+        sink1 = ListSink()
+        first.attach(spec, source=IterableSource(records), sink=sink1)
+        first.cycle()
+        first.detach("t", flush=False)
+        path = default_checkpoint_path(ckpt_dir / "model.json", "t")
+        queued = json.loads(path.read_text())["source_position"]["queued"]
+        assert len(queued) == 1024 - ServeConfig().quantum
+
+        second = DetectionService(
+            registry, ServeConfig(workers=0), checkpoint_dir=ckpt_dir
+        )
+        sink2 = ListSink()
+        second.attach(spec, source=IterableSource(records), sink=sink2)
+        second.drain()
+        second.close()
+
+        fids = sink1.emitted_ids() + sink2.emitted_ids()
+        assert len(fids) == len(set(fids)), "duplicate report delivery"
+        assert sink1.reports and sink2.reports
+        before, after = report_bytes(sink1), report_bytes(sink2)
+        assert before.keys().isdisjoint(after)
+        assert before | after == report_bytes(whole)
 
 
 class _ExplodingSource:

@@ -5,23 +5,29 @@ out-of-order timestamps within a session, idle-timeout vs. end-marker
 closure, LRU eviction under the session cap, and the checkpoint/resume
 round-trip — plus the file-follower source, the ``split_sessions``
 default-bucket regression, and the observe-time matches the tracker
-carries to session close (each record matched once).
+carries to session close (each record matched once).  The tracker's
+one-pass end-marker search and bounded idle scan, and the follower's
+tell-free line loop, are checked against the full-scan and readline
+references kept here.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import re
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import IntelLog, split_sessions
-from repro.parsing.records import LogRecord, session_bucket
+from repro.parsing.records import LogRecord, Session, session_bucket
 from repro.simulators import WorkloadGenerator
 from repro.stream import (
     FileFollowSource,
@@ -30,6 +36,12 @@ from repro.stream import (
     SessionTracker,
     StreamRuntime,
     TrackerConfig,
+)
+from repro.stream.resilience import ListQuarantine
+from repro.stream.tracker import (
+    DEFAULT_END_MARKERS,
+    _Open,
+    end_marker_search,
 )
 
 #: Tracker settings that never close early — for exact-parity tests.
@@ -647,3 +659,285 @@ class TestCarriedMatches:
         assert sink.reports
         assert report_bytes(before.reports + sink.reports) == \
             report_bytes(whole.reports)
+
+
+# -- one-pass tracker ---------------------------------------------------------
+
+#: End markers for the alternation property, hostile ones included:
+#: capturing groups with backreferences and a conditional, a duplicated
+#: group name, inline global flags (one of them a no-op), anchors,
+#: lookarounds, and the empty pattern, which matches every message.
+MARKER_POOL = (
+    r"shutdown", r"Deleting directory", r"^start", r"done$", r"\d{3}",
+    r"(?=ab)a", r"(?<!x)yz", r"a|b", r"[xyz]+q", r"", r"a\nb",
+    r"(?i)SHUTDOWN", r"(?u)ok", r"(?s)a.b", r"(?m)^b",
+    r"(?P<n>ab)(?P=n)", r"(?P<n>yz)", r"(a)\1", r"(x)?(?(1)y|z)q",
+)
+MESSAGES = st.lists(
+    st.sampled_from([
+        "shutdown", "SHUTDOWN", "ShutDown", "Deleting directory /tmp",
+        "start", "done", "abab", "yzyz", "xyz", "a\nb", "123", "ok", "zq",
+        "xq", "xyq", "aa", "a", "b", "x", "y", "q", " ", "\n",
+    ]),
+    max_size=6,
+).map("".join)
+
+
+class FullScanTracker(SessionTracker):
+    """The tracker before the one-pass observe: every record searches
+    each end marker on its own and scans every open session."""
+
+    def observe(self, record, match=None):
+        closed = []
+        key, sid = session_bucket(record)
+        entry = self._open.get(key)
+        if entry is None:
+            entry = _Open(
+                session=Session(session_id=sid, app_id=record.app_id),
+                last_seen=record.timestamp,
+                matches=None,
+            )
+            self._open[key] = entry
+        entry.session.append(record)
+        entry.last_seen = max(entry.last_seen, record.timestamp)
+        self._open.move_to_end(key)
+        self.watermark = max(self.watermark, record.timestamp)
+        if any(re.search(p, record.message)
+               for p in self.config.end_markers):
+            del self._open[key]
+            closed.append(self._close(entry, "end_marker"))
+        horizon = self.watermark - self.config.idle_timeout
+        for key in [k for k, e in self._open.items()
+                    if e.last_seen <= horizon]:
+            closed.append(self._close(self._open.pop(key), "idle"))
+        while len(self._open) > self.config.max_open_sessions:
+            _, entry = self._open.popitem(last=False)
+            self.evictions += 1
+            closed.append(self._close(entry, "evicted"))
+        self.peak_open = max(self.peak_open, len(self._open))
+        return closed
+
+
+def closures(closed):
+    return [
+        (c.reason, c.session.session_id, c.session.app_id,
+         [(r.timestamp, r.message) for r in c.session.records])
+        for c in closed
+    ]
+
+
+#: One tracker operation: observe a record (session slot, event time,
+#: end marker or not), force-evict LRU sessions, or checkpoint through
+#: JSON into a fresh tracker.
+TRACKER_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("observe"), st.integers(0, 5), st.integers(0, 40),
+            st.booleans(),
+        ),
+        st.tuples(st.just("evict"), st.integers(0, 2)),
+        st.tuples(st.just("restore")),
+    ),
+    max_size=60,
+)
+
+
+class TestOnePassTracker:
+    @given(markers=st.lists(st.sampled_from(MARKER_POOL), max_size=5),
+           message=MESSAGES)
+    # Sets an unguarded alternation gets wrong: a backreference or a
+    # conditional whose group number shifts, a duplicated group name,
+    # inline global flags, and the empty marker set.
+    @example(markers=[r"(?P<n>yz)", r"(a)\1"], message="aa")
+    @example(markers=[r"(a)\1", r"(x)?(?(1)y|z)q"], message="xyq")
+    @example(markers=[r"(?P<n>ab)(?P=n)", r"(?P<n>yz)"], message="yz")
+    @example(markers=[r"shutdown", r"(?i)SHUTDOWN"], message="ShutDown")
+    @example(markers=[r"(?u)ok"], message="ok")
+    @example(markers=[], message="")
+    @settings(max_examples=300, deadline=None)
+    def test_alternation_agrees_with_searching_each_marker(
+        self, markers, message
+    ):
+        search = end_marker_search(tuple(markers))
+        assert bool(search(message)) == any(
+            re.search(p, message) for p in markers
+        )
+
+    def test_default_markers_are_one_pattern(self):
+        search = end_marker_search(DEFAULT_END_MARKERS)
+        assert isinstance(getattr(search, "__self__", None), re.Pattern)
+        assert search("INFO ShutdownHookManager: Deleting directory /x")
+        assert not search("Driver commanded a shutdown")
+
+    def test_in_order_stream_never_scans_for_idle_sessions(self):
+        tracker = SessionTracker(TrackerConfig(
+            idle_timeout=1e6, end_markers=(),
+        ))
+        scans = []
+        real = tracker._expire_idle
+        tracker._expire_idle = lambda *a: scans.append(a) or real(*a)
+        for i in range(500):
+            tracker.observe(record(float(i), "m", sid=f"s{i % 40}"))
+        assert scans == []
+        assert tracker.open_count == 40
+
+    @given(
+        ops=TRACKER_OPS,
+        idle_timeout=st.sampled_from([0.0, 0.5, 1.0, 2.0, 5.0, 1e9]),
+        cap=st.integers(1, 4),
+    )
+    # Restored sessions must still expire while only they get records.
+    @example(
+        ops=[("observe", 0, 0, False), ("observe", 1, 0, False),
+             ("restore",), ("observe", 1, 10, False)],
+        idle_timeout=5.0, cap=4,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bounded_idle_expiry_equals_the_full_scan(
+        self, ops, idle_timeout, cap
+    ):
+        config = TrackerConfig(
+            idle_timeout=idle_timeout, max_open_sessions=cap,
+            end_markers=(r"the end",),
+        )
+        trackers = [SessionTracker(config), FullScanTracker(config)]
+        logs = [[], []]
+        for op in ops:
+            for i, tracker in enumerate(trackers):
+                if op[0] == "observe":
+                    _, slot, ts, end = op
+                    sid, app = (f"c{slot}", "") if slot < 4 else (
+                        "", f"app{slot}"
+                    )
+                    logs[i] += closures(tracker.observe(record(
+                        ts, "the end" if end else f"m{ts}", sid, app,
+                    )))
+                elif op[0] == "evict":
+                    logs[i] += closures(tracker.evict_lru(op[1]))
+                else:
+                    state = json.loads(json.dumps(tracker.state_dict()))
+                    trackers[i] = type(tracker)(config)
+                    trackers[i].load_state(state)
+        for i, tracker in enumerate(trackers):
+            logs[i] += closures(tracker.flush())
+        assert logs[0] == logs[1]
+        new, ref = trackers
+        assert (new.evictions, new.peak_open, new.watermark) == (
+            ref.evictions, ref.peak_open, ref.watermark
+        )
+
+
+# -- tell-free follower -------------------------------------------------------
+
+
+class ReadlineFollowSource(FileFollowSource):
+    """The follower's poll as a readline loop with two ``tell()`` calls
+    per line: the reference the tell-free loop must equal."""
+
+    def poll(self, max_records):
+        out = []
+        try:
+            fp = open(self.path, "rb")
+        except FileNotFoundError:
+            return out
+        with fp:
+            self._detect_regression(fp, out)
+            fp.seek(self._offset)
+            while len(out) < max_records:
+                line_start = fp.tell()
+                raw = fp.readline()
+                if not raw.endswith(b"\n"):
+                    break
+                self._offset = fp.tell()
+                self._consume_line(raw, line_start, out)
+        return out
+
+
+_HEADER = "2019-06-22 10:15:{s:02d},000 INFO [t] org.x.Worker: {msg}"
+#: Line kinds for the follower files: header lines for two containers,
+#: stack-trace continuations, blank lines, NUL bytes, invalid UTF-8, a
+#: literal U+FFFD, text that matches no format, and non-ASCII text.
+LINES = st.sampled_from([
+    _HEADER.format(s=1, msg="start container_e01_0001").encode(),
+    _HEADER.format(s=2, msg="work container_e01_0002").encode(),
+    _HEADER.format(s=3, msg="Übergabe 完成 container_e01_0001").encode(),
+    b"  at java.lang.Thread.run(Thread.java:748)",
+    b"",
+    b"   ",
+    b"bin\x00ary",
+    b"bad \xff\xfe bytes",
+    "replacement \ufffd char".encode(),
+    b"no format here",
+])
+CHUNKS = st.tuples(
+    st.lists(LINES, max_size=8),
+    st.one_of(st.just(b""), LINES),  # an unterminated trailing line
+).map(lambda c: b"".join(line + b"\n" for line in c[0]) + c[1])
+FOLLOW_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), CHUNKS),
+        st.tuples(st.just("truncate"), CHUNKS),
+        st.tuples(st.just("rotate"), CHUNKS),
+        st.tuples(st.just("poll"), st.integers(1, 6)),
+        st.tuples(st.just("flush")),
+    ),
+    max_size=25,
+)
+
+
+def follow_log(items):
+    """Records as field tuples; positions stay dicts."""
+    return [
+        x if isinstance(x, dict) else dataclasses.astuple(x) for x in items
+    ]
+
+
+class TestTellFreeFollower:
+    @given(ops=FOLLOW_OPS)
+    # A rotation releases the held-back record; with ``max_records=1``
+    # that fills the poll, which must then read no line of the new file.
+    @example(ops=[
+        ("append", _HEADER.format(s=1, msg="a").encode() + b"\n"),
+        ("poll", 5),
+        ("rotate", _HEADER.format(s=2, msg="b").encode() + b"\n"),
+        ("poll", 1),
+        ("rotate", b""),
+        ("poll", 5),
+    ])
+    @settings(max_examples=150, deadline=None)
+    def test_poll_equals_the_readline_tell_loop(self, ops):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "app.log"
+            path.write_bytes(b"")
+            sources = [
+                FileFollowSource(path, formatter="hadoop",
+                                 quarantine=ListQuarantine()),
+                ReadlineFollowSource(path, formatter="hadoop",
+                                     quarantine=ListQuarantine()),
+            ]
+            got = [[], []]
+            for op in ops:
+                if op[0] == "append":
+                    with path.open("ab") as fp:
+                        fp.write(op[1])
+                elif op[0] == "truncate":
+                    path.write_bytes(op[1])
+                elif op[0] == "rotate":
+                    fresh = Path(tmp) / "app.log.new"
+                    fresh.write_bytes(op[1])
+                    os.replace(fresh, path)
+                for i, source in enumerate(sources):
+                    if op[0] == "poll":
+                        got[i] += source.poll(op[1])
+                    elif op[0] == "flush":
+                        got[i] += source.flush_pending()
+                    got[i].append(source.position())
+            for i, source in enumerate(sources):
+                got[i] += source.finalize()
+                got[i].append(source.position())
+            new, ref = sources
+            assert follow_log(got[0]) == follow_log(got[1])
+            assert new.quarantine.entries == ref.quarantine.entries
+            assert (new.rotations, new.truncations) == (
+                ref.rotations, ref.truncations
+            )

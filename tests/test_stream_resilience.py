@@ -38,7 +38,7 @@ from repro.core import (
     StreamFailedError,
 )
 from repro.parsing.formatters import default_registry
-from repro.parsing.records import split_sessions
+from repro.parsing.records import LogRecord, Session, split_sessions
 from repro.simulators import (
     FaultPlan,
     FaultSpec,
@@ -67,6 +67,7 @@ from repro.stream import (
     corrupt_checkpoint,
     yarn_session_key,
 )
+from repro.stream.resilience import finalization_id
 
 #: One chaos run per seed; CI sweeps several seeds via this env var.
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "1"))
@@ -469,6 +470,45 @@ def _spark_records(seed: int):
 
 
 # -- exactly-once finalization across kill/resume --------------------------
+
+
+def _pinned_record(ts, message):
+    return LogRecord(timestamp=ts, level="INFO", source="T", message=message)
+
+
+#: Sessions whose ``finalization_id`` is pinned below.  The digests were
+#: computed by the part-by-part ``sha256.update`` form; ledgers written
+#: by it must keep deduping, so any change to a digest is a break.
+PINNED_SESSIONS = {
+    "non_ascii": (Session(
+        "container_é_01", app_id="application_Ω_1", records=[
+            _pinned_record(1.5, "Übergabe abgeschlossen: 完成 ✓"),
+            _pinned_record(2.0, "naïve café"),
+        ]), "333985ec1674eb843561"),
+    "multi_line": (Session("container_e01_0002", records=[
+        _pinned_record(10.0, "Exception in task 3\n\tat org.x.Worker"
+                             ".run(Worker.java:42)\n\tat java.lang."
+                             "Thread.run(Thread.java:748)"),
+        _pinned_record(11.25, "Deleting directory /tmp/spark-1"),
+    ]), "e71863f6d0f2bb068e10"),
+    "awkward_timestamps": (Session(
+        "container_e01_0003", app_id="app_3", records=[
+            _pinned_record(0.1 + 0.2, "sum"),
+            _pinned_record(1e16, "huge"),
+            _pinned_record(-42.125, "negative"),
+            _pinned_record(5e-324, "tiny"),
+        ]), "ef2226a2fed35555d6c6"),
+    "lone_surrogate": (Session("container_\ud800", records=[
+        _pinned_record(0.0, "bad \udcff byte"),
+    ]), "1e2f1a1b1bbb4b692bab"),
+    "empty": (Session("container_e01_0005"), "640ca56e0182993c9fd5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SESSIONS))
+def test_finalization_id_digests_are_pinned(name):
+    session, digest = PINNED_SESSIONS[name]
+    assert finalization_id(session) == digest
 
 
 class TestExactlyOnce:
